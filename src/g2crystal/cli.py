@@ -4,7 +4,8 @@ Elements travel as JSON (stdin or ``--input``); graphs leave as DOT or JSON
 on stdout or ``--out``.  Exit codes: 0 success, 1 property violation,
 2 usage or input error.  Depths beyond the cap (environment variable
 ``G2CRYSTAL_DEPTH_CAP``, default 12) are refused without ``--force`` since
-level sizes grow like the Kostant partition function.
+level sizes grow like the Kostant partition function; a cap that is not an
+integer is an input error.
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ _WORD_OPS = {"f1": ("f", 1), "f2": ("f", 2), "e1": ("e", 1), "e2": ("e", 2)}
 
 def _depth_cap():
     raw = os.environ.get("G2CRYSTAL_DEPTH_CAP", "")
+    if not raw:
+        return DEFAULT_DEPTH_CAP
     try:
         return int(raw)
     except ValueError:
-        return DEFAULT_DEPTH_CAP
+        raise ValueError(f"G2CRYSTAL_DEPTH_CAP must be an integer, got {raw!r}") from None
 
 
 def _check_depth(depth, force):

@@ -133,12 +133,14 @@ class CliffElement:
                 weak_after = all(_ge(a[k], a[v]) for v in range(k + 1, n))
                 if strict_before and weak_after:
                     hits.append(k + 1)
-        assert len(hits) == 1, f"tensor rule selected {hits} on {self} for i={i}"
+        if len(hits) != 1:
+            raise RuntimeError(f"tensor rule selected {hits} on {self} for i={i}")
         return hits[0]
 
     def f(self, i):
         pos = self._select(i, lower=True)
-        assert pos > 1, "the head factor is never lowered on members"
+        if pos <= 1:
+            raise RuntimeError("the head factor is never lowered on members")
         name = _SLOTS[pos - 2][0]
         return replace(self, **{name: getattr(self, name) + 1})
 

@@ -51,24 +51,26 @@ def bfs(root, depth, realization=""):
     """All elements reachable from ``root`` by lowering words of length <= depth."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    graph = CrystalGraph(realization=realization, depth=depth, root=root.key())
-    graph.nodes[root.key()] = (root, 0)
-    frontier = [root]
+    root_key = root.key()
+    graph = CrystalGraph(realization=realization, depth=depth, root=root_key)
+    graph.nodes[root_key] = (root, 0)
+    frontier = [(root_key, root)]  # (key, element): each key is computed once
     incoming = set()
     for level in range(1, depth + 1):
         nxt = []
-        for elem in sorted(frontier, key=lambda x: x.key()):
+        for key, elem in sorted(frontier, key=lambda pair: pair[0]):
             for i in INDEX_SET:
                 child = elem.f(i)
                 if child is None:
                     continue
                 ck = child.key()
-                graph.edges.append((elem.key(), i, ck))
-                assert (i, ck) not in incoming, "lowering operators must be injective"
+                graph.edges.append((key, i, ck))
+                if (i, ck) in incoming:
+                    raise RuntimeError("lowering operators must be injective")
                 incoming.add((i, ck))
                 if ck not in graph.nodes:
                     graph.nodes[ck] = (child, level)
-                    nxt.append(child)
+                    nxt.append((ck, child))
         frontier = nxt
     return graph
 
@@ -113,8 +115,10 @@ def weight_census(graph):
     for key in graph.nodes:
         elem, depth = graph.nodes[key]
         a, b = weight_to_roots(elem.wt())
-        assert a <= 0 and b <= 0, f"positive root coordinate at {elem.text()}"
-        assert -(a + b) == depth, "depth must equal the weight height"
+        if a > 0 or b > 0:
+            raise RuntimeError(f"positive root coordinate at {elem.text()}")
+        if -(a + b) != depth:
+            raise RuntimeError("depth must equal the weight height")
         census[(-a, -b)] = census.get((-a, -b), 0) + 1
     return census
 
@@ -142,14 +146,15 @@ def kostant_partitions(a, b):
     return count(0, a, b)
 
 
-def _node_ids(graph):
-    return {key: f"n{pos}" for pos, key in enumerate(graph.sorted_keys())}
+def _node_ids(keys):
+    return {key: f"n{pos}" for pos, key in enumerate(keys)}
 
 
 def to_dot(graph):
-    ids = _node_ids(graph)
+    keys = graph.sorted_keys()
+    ids = _node_ids(keys)
     lines = ["digraph crystal {", "  rankdir=TB;"]
-    for key in graph.sorted_keys():
+    for key in keys:
         elem, _depth = graph.nodes[key]
         label = elem.text().replace('"', '\\"')
         lines.append(f'  {ids[key]} [label="{label}"];')
@@ -161,9 +166,10 @@ def to_dot(graph):
 
 
 def to_json(graph):
-    ids = _node_ids(graph)
+    keys = graph.sorted_keys()
+    ids = _node_ids(keys)
     nodes = []
-    for key in graph.sorted_keys():
+    for key in keys:
         elem, depth = graph.nodes[key]
         nodes.append(
             {

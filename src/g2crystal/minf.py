@@ -13,6 +13,12 @@ with seven nonnegative counts (``b0 <= 1``) and family parameters
 :func:`x_monomial`, and membership of a raw monomial is decided by the
 three support-shape conditions checked in :func:`is_minf_monomial`.
 
+The structure maps are read off the counts without expanding: the weight is
+linear in them (and independent of ``(p1, p2, r)``), ``eps_i`` is the number
+of 1s surviving in the reduced i-signature, and ``phi_i = eps_i + <h_i, wt>``.
+The verification suites compare them with the maps of the expanded
+Y-monomial, which stays the independent oracle.
+
 Kashiwara operators are evaluated by the signature rule: write a word of
 1s and 0s under an ordered list of components, cancel (0,1) adjacencies,
 and dispatch on the component owning the leftmost surviving 0 (for the
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .cartan import PAIR_ZERO, pair_add, pairing
 from .monomials import ExtMonomial
 
 X_LETTERS = ("1", "2", "3", "0", "3b", "2b", "1b")
@@ -33,6 +40,11 @@ X_LETTERS = ("1", "2", "3", "0", "3b", "2b", "1b")
 
 def x_monomial(letter, m, u, v):
     """Expand ``X_letter(m)^(u,v)`` into Y-variables."""
+    return ExtMonomial(_x_exponents(letter, m, u, v))
+
+
+def _x_exponents(letter, m, u, v):
+    """Y-exponent map of ``X_letter(m)^(u,v)``, zero pairs included."""
     if letter == "1":
         exp = {(1, m): (u, v)}
     elif letter == "2":
@@ -49,7 +61,7 @@ def x_monomial(letter, m, u, v):
         exp = {(1, m + 3): (-u, -v)}
     else:
         raise ValueError(f"unknown X letter {letter!r}")
-    return ExtMonomial(exp)
+    return exp
 
 
 @dataclass(frozen=True)
@@ -106,21 +118,29 @@ class MinfElement:
         ]
 
     def to_monomial(self):
-        mono = ExtMonomial.one()
+        exp = {}
         for letter, m, u, v in self.x_factors():
-            mono = mono * x_monomial(letter, m, u, v)
-        return mono
+            for pos, pair in _x_exponents(letter, m, u, v).items():
+                exp[pos] = pair_add(exp.get(pos, PAIR_ZERO), pair)
+        return ExtMonomial._canonical(
+            {pos: pair for pos, pair in exp.items() if pair != PAIR_ZERO}
+        )
 
-    # -- structure maps (delegated to the Y-form) --------------------------
+    # -- structure maps (closed forms on the counts) -------------------------
 
     def wt(self):
-        return self.to_monomial().wt()
+        """Weight in Lambda-coordinates; the family parameters cancel out."""
+        return (
+            -2 * self.b2 + self.b3 - self.b0 - 3 * self.b3bar - 2 * self.b1bar
+            + 3 * self.b3low,
+            self.b2 - self.b3 + self.b3bar - self.b2bar - 2 * self.b3low,
+        )
 
     def eps(self, i):
-        return self.to_monomial().eps(i)
+        return sum(1 for sym, _tag in self.signature(i) if sym == 1)
 
     def phi(self, i):
-        return self.to_monomial().phi(i)
+        return self.eps(i) + pairing(i, self.wt())
 
     # -- signature-rule operators ------------------------------------------
 
@@ -169,8 +189,10 @@ class MinfElement:
                 return replace(self, b2bar=self.b2bar - 1, b1bar=self.b1bar + 1)
             if tag == "0":
                 return replace(self, b0=self.b0 - 1, b3bar=self.b3bar + 1)
-            # a surviving 0 at X_3 forces b0 = 0, else the X_0 zero sits further left
-            assert self.b0 == 0
+            if self.b0 != 0:
+                raise RuntimeError(
+                    "a surviving 0 at X_3 forces b0 = 0: the X_0 zero sits further left"
+                )
             return replace(self, b3=self.b3 - 1, b0=self.b0 + 1)
         if tag is None:
             return replace(self, b3low=self.b3low + 1)
@@ -189,11 +211,14 @@ class MinfElement:
             if tag == "1b":
                 return replace(self, b1bar=self.b1bar - 1, b2bar=self.b2bar + 1)
             if tag == "3b":
-                # a surviving 1 at X_3b forces b0 = 0: the X_0 one would outlive it
-                assert self.b0 == 0
+                if self.b0 != 0:
+                    raise RuntimeError(
+                        "a surviving 1 at X_3b forces b0 = 0: the X_0 one would outlive it"
+                    )
                 return replace(self, b3bar=self.b3bar - 1, b0=self.b0 + 1)
             if tag == "0":
-                assert self.b0 == 1
+                if self.b0 != 1:
+                    raise RuntimeError("a surviving 1 at X_0 forces b0 = 1")
                 return replace(self, b0=self.b0 - 1, b3=self.b3 + 1)
             return replace(self, b2=self.b2 - 1)
         if tag == "2b":

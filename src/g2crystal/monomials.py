@@ -11,9 +11,10 @@ lexicographically.  The structure maps are
 with the ordinary wt/phi_i/eps_i given by the second components.  The
 lowering operator divides by ``A_i(m_f)`` at the smallest prefix arg-max
 ``m_f``; the raising operator multiplies by ``A_i(m_e)`` at the largest.
-Prefix sums are constant outside the exponent support, so the arg-max scan
-runs over ``[min support - 1, max support + 1]`` and asserts that the
-boundary values equal the empty and total sums.
+Prefix sums only change at support positions, so the arg-max scan makes one
+pass over the sorted support: the sum before position ``m`` holds on
+``[previous support position, m - 1]``, the empty sum holds at
+``min support - 1`` and the total at ``max support + 1``.
 
 The crystal zero is represented by ``None``; it marks the absence of an
 edge, never an error.
@@ -59,6 +60,16 @@ class ExtMonomial:
         self._key = tuple(sorted((i, m, u, v) for (i, m), (u, v) in exp.items()))
 
     @classmethod
+    def _canonical(cls, exp):
+        """Wrap an exponent map that is already canonical (int positions and
+        pairs, index in the index set, no zero pairs), skipping validation.
+        The map is owned by the new monomial afterwards."""
+        mono = object.__new__(cls)
+        mono._exp = exp
+        mono._key = tuple(sorted(pos + pair for pos, pair in exp.items()))
+        return mono
+
+    @classmethod
     def one(cls):
         return cls()
 
@@ -92,11 +103,16 @@ class ExtMonomial:
     def __mul__(self, other):
         exp = dict(self._exp)
         for pos, pair in other._exp.items():
-            exp[pos] = pair_add(exp.get(pos, PAIR_ZERO), pair)
-        return ExtMonomial(exp)
+            if pos in exp:
+                pair = pair_add(exp[pos], pair)
+                if pair == PAIR_ZERO:
+                    del exp[pos]
+                    continue
+            exp[pos] = pair
+        return ExtMonomial._canonical(exp)
 
     def inverse(self):
-        return ExtMonomial({pos: pair_neg(pair) for pos, pair in self._exp.items()})
+        return ExtMonomial._canonical({pos: pair_neg(pair) for pos, pair in self._exp.items()})
 
     # -- structure maps -------------------------------------------------
 
@@ -118,25 +134,22 @@ class ExtMonomial:
         operator does not act, in which case the true arg-max set is
         unbounded on that side.
         """
-        positions = sorted(m for (j, m) in self._exp if j == i)
-        if not positions:
+        support = sorted((m, pair) for (j, m), pair in self._exp.items() if j == i)
+        if not support:
             return ScanResult(PAIR_ZERO, PAIR_ZERO, None, None)
-        lo, hi = positions[0] - 1, positions[-1] + 1
-        cur = PAIR_ZERO
-        values = []
-        for m in range(lo, hi + 1):
-            cur = pair_add(cur, self.exponent(i, m))
-            values.append((m, cur))
-        total = cur
-        assert values[0][1] == PAIR_ZERO and values[-1][1] == total
-        phi_pair = max(val for _m, val in values)  # >= (0,0): the lo value is the empty sum
+        # the prefix sum through position m holds up to the next support position
+        run_ends = [m - 1 for m, _pair in support[1:]] + [support[-1][0] + 1]
+        total = phi_pair = PAIR_ZERO  # the empty sum, held at min support - 1 only
+        first = last = support[0][0] - 1  # first and last position holding phi_pair
+        for (m, pair), end in zip(support, run_ends):
+            total = pair_add(total, pair)
+            if total > phi_pair:
+                phi_pair, first, last = total, m, end
+            elif total == phi_pair:
+                last = end
         eps_pair = pair_add(phi_pair, pair_neg(total))
-        m_f = None
-        if phi_pair > PAIR_ZERO:
-            m_f = min(m for m, val in values if val == phi_pair)
-        m_e = None
-        if eps_pair > PAIR_ZERO:
-            m_e = max(m for m, val in values if val == phi_pair)
+        m_f = first if phi_pair > PAIR_ZERO else None
+        m_e = last if eps_pair > PAIR_ZERO else None
         return ScanResult(phi_pair, eps_pair, m_f, m_e)
 
     def phi_pair(self, i):
@@ -193,12 +206,12 @@ def a_monomial(i, m, sign=1):
     """
     if i not in INDEX_SET:
         raise ValueError(f"index must be 1 or 2, got {i}")
-    exp = {(i, m): (0, 1), (i, m + 1): (0, 1)}
+    i, m, s = int(i), int(m), (1 if sign > 0 else -1)
+    exp = {(i, m): (0, s), (i, m + 1): (0, s)}
     for j in INDEX_SET:
         if j != i:
-            exp[(j, m + C_SHIFT[(j, i)])] = (0, CARTAN[(j, i)])
-    mono = ExtMonomial(exp)
-    return mono if sign > 0 else mono.inverse()
+            exp[(j, m + C_SHIFT[(j, i)])] = (0, s * CARTAN[(j, i)])
+    return ExtMonomial._canonical(exp)
 
 
 def highest_monomial(p1=1, p2=1, r=0):

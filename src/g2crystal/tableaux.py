@@ -52,6 +52,8 @@ class MLTableau:
         counts = self.counts()
         if any(c < 0 for c in counts):
             raise ValueError(f"negative count in {counts}")
+        if self.b0 > 1:
+            raise ValueError(f"b0 must be 0 or 1, got {self.b0}")
 
     def counts(self):
         return (self.b2, self.b3, self.b0, self.b3bar, self.b2bar, self.b1bar, self.b3low)
@@ -133,7 +135,8 @@ class MLTableau:
         ``i``-row column when the result would not be large."""
         sig = self.signature(i)
         zeros = [pos for sym, pos in sig if sym == 0]
-        assert zeros, "the lowering operator is total on marginally large tableaux"
+        if not zeros:
+            raise RuntimeError("the lowering operator is total on marginally large tableaux")
         row, col = zeros[0]
         grid = [list(r) for r in self.rows()]
         letter = grid[row][col]
@@ -156,9 +159,11 @@ class MLTableau:
         letter = grid[row][col]
         grid[row][col] = E_STEP[i][letter]
         if not _is_marginally_large(grid):
-            assert _is_large(grid)
+            if not _is_large(grid):
+                raise RuntimeError("a raised tableau must stay large")
             removed = [grid[rr][col] for rr in range(2) if col < len(grid[rr])]
-            assert removed == [L1] or removed == [L1, L2]
+            if removed != [L1] and removed != [L1, L2]:
+                raise RuntimeError(f"removed column {removed} is not an i-row column")
             for rr in range(2):
                 if col < len(grid[rr]):
                     del grid[rr][col]

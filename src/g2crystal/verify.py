@@ -175,15 +175,20 @@ def check_census(depth):
 
 
 def check_lemma_equivalence(depth):
-    """The signature-rule operators agree with the generic monomial
-    operators under the change of variables, and enumerate the same set."""
+    """The signature-rule operators and the closed-form structure maps agree
+    with the generic monomial ones under the change of variables, and the
+    two operator rules enumerate the same set."""
     report = SuiteReport(f"lemma-equivalence(depth={depth})")
     gm = bfs(highest_minf(), depth, "minf")
     for key in gm.nodes:
         elem = gm.element(key)
         mono = elem.to_monomial()
+        if elem.wt() != mono.wt():
+            report.fail(f"weight mismatch at {elem.text()}")
         for i in INDEX_SET:
             report.tick(2)
+            if elem.eps(i) != mono.eps(i) or elem.phi(i) != mono.phi(i):
+                report.fail(f"eps_{i}/phi_{i} mismatch at {elem.text()}")
             if elem.f(i).to_monomial() != mono.f(i):
                 report.fail(f"f_{i} rule mismatch at {elem.text()}")
             up, generic_up = elem.e(i), mono.e(i)
@@ -257,21 +262,23 @@ _SHIFT_GRID = tuple(
 
 
 def check_shift_family(depth, grid=_SHIFT_GRID):
-    """Changing family parameters commutes with the operators and preserves
-    the structure maps computed on the expanded monomials."""
+    """Changing family parameters commutes with the operators, and the
+    structure maps computed on the expanded shifted monomials equal the
+    closed-form maps of the unshifted element."""
     report = SuiteReport(f"shift-family(depth={depth})")
     gm = bfs(highest_minf(), depth, "minf")
     for key in gm.nodes:
         elem = gm.element(key)
         for params in grid:
             moved = shift_params(elem, *params)
+            moved_mono = moved.to_monomial()
             report.tick()
-            if not is_minf_monomial(moved.to_monomial(), *params):
+            if not is_minf_monomial(moved_mono, *params):
                 report.fail(f"shifted element leaves its family at {elem.text()} {params}")
-            if moved.wt() != elem.wt():
+            if moved_mono.wt() != elem.wt():
                 report.fail(f"shift changes weight at {elem.text()} {params}")
             for i in INDEX_SET:
-                if moved.eps(i) != elem.eps(i) or moved.phi(i) != elem.phi(i):
+                if moved_mono.eps(i) != elem.eps(i) or moved_mono.phi(i) != elem.phi(i):
                     report.fail(f"shift changes eps/phi at {elem.text()} {params}")
                 if shift_params(elem.f(i), *params) != moved.f(i):
                     report.fail(f"shift misses f_{i} at {elem.text()} {params}")

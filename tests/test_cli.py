@@ -180,3 +180,23 @@ def test_verify_suites_pass(capsys, monkeypatch, suite):
 def test_verify_closure_depth_zero(capsys, monkeypatch):
     code, out, _err = run(capsys, monkeypatch, ["verify", "closure", "--depth", "0"])
     assert code == 0 and "pass" in out
+
+
+def test_depth_cap_rejects_unparsable_value(capsys, monkeypatch):
+    monkeypatch.setenv("G2CRYSTAL_DEPTH_CAP", "abc")
+    code, out, err = run(capsys, monkeypatch, ["graph", "--realization", "minf", "--depth", "2"])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "G2CRYSTAL_DEPTH_CAP" in err and "'abc'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convert", "--from", "tableaux", "--to", "cliff"],
+        ["apply", "--realization", "tableaux", "--word", "e1"],
+    ],
+)
+def test_tableau_with_two_zeros_rejected(capsys, monkeypatch, argv):
+    code, out, err = run(capsys, monkeypatch, argv, stdin='{"b0": 2}')
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "b0 must be 0 or 1, got 2" in err

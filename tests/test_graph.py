@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -137,3 +141,42 @@ def test_golden_exports(name, realization, fmt):
 def test_highest_element_rejects_unknown():
     with pytest.raises(ValueError):
         highest_element("nope")
+
+
+def test_bfs_rejects_non_injective_lowering_under_optimize():
+    """The injectivity check must survive ``python -O``, which strips asserts."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from g2crystal.graph import bfs
+
+        if __debug__:
+            sys.exit("not running under -O")
+
+        class Clamped:
+            # f_2 sends both the root and node 1 to node 2
+            def __init__(self, n):
+                self.n = n
+
+            def key(self):
+                return (self.n,)
+
+            def f(self, i):
+                return Clamped(min(self.n + i, 2))
+
+        try:
+            bfs(Clamped(0), 2)
+        except RuntimeError as exc:
+            print(exc)
+            sys.exit(0)
+        sys.exit("bfs accepted a non-injective operator")
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "injective" in proc.stdout

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from g2crystal.cartan import INDEX_SET
+from g2crystal.graph import bfs
 from g2crystal.minf import (
     MinfElement,
     highest_minf,
@@ -193,3 +194,37 @@ def test_json_round_trip():
     for _ in range(50):
         elem = _random_vector(rng)
         assert MinfElement.from_json(elem.to_json()) == elem
+
+
+def _assert_maps_match_expansion(elem):
+    mono = elem.to_monomial()
+    assert elem.wt() == mono.wt(), elem
+    for i in INDEX_SET:
+        assert elem.eps(i) == mono.eps(i), (elem, i)
+        assert elem.phi(i) == mono.phi(i), (elem, i)
+
+
+@pytest.mark.parametrize("params", [(1, 1, 0), (2, 3, -2), (3, 1, 3)])
+def test_closed_form_maps_match_expansion_to_depth_ten(params):
+    graph = bfs(highest_minf(*params), 10, "minf")
+    for elem, _depth in graph.nodes.values():
+        _assert_maps_match_expansion(elem)
+
+
+def test_closed_form_maps_match_expansion_on_large_counts():
+    rng = random.Random(29)
+    for _ in range(500):
+        _assert_maps_match_expansion(
+            MinfElement(
+                b2=rng.randint(0, 200),
+                b3=rng.randint(0, 200),
+                b0=rng.randint(0, 1),
+                b3bar=rng.randint(0, 200),
+                b2bar=rng.randint(0, 200),
+                b1bar=rng.randint(0, 200),
+                b3low=rng.randint(0, 200),
+                p1=rng.randint(1, 4),
+                p2=rng.randint(1, 4),
+                r=rng.randint(-5, 5),
+            )
+        )

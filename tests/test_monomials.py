@@ -5,6 +5,7 @@ import random
 from g2crystal.cartan import INDEX_SET, simple_root, weight_sub
 from g2crystal.monomials import (
     ExtMonomial,
+    ScanResult,
     a_monomial,
     classify_seed,
     highest_monomial,
@@ -171,3 +172,55 @@ def test_serialization():
 def test_canonical_form_drops_zero_exponents():
     assert ExtMonomial({(1, 0): (0, 0)}) == ExtMonomial.one()
     assert hash(ExtMonomial({(1, 0): (0, 0)})) == hash(ExtMonomial.one())
+
+
+def _dense_scan(mono, i):
+    """Reference scan: prefix sums at every position of the dense range
+    ``[min support - 1, max support + 1]``, arg-max read off the full list."""
+    ms = [m for (j, m) in mono.support() if j == i]
+    if not ms:
+        return ScanResult((0, 0), (0, 0), None, None)
+    cur, values = (0, 0), []
+    for m in range(ms[0] - 1, ms[-1] + 2):
+        u, v = mono.exponent(i, m)
+        cur = (cur[0] + u, cur[1] + v)
+        values.append((m, cur))
+    phi = max(val for _m, val in values)
+    eps = (phi[0] - cur[0], phi[1] - cur[1])
+    m_f = min(m for m, val in values if val == phi) if phi > (0, 0) else None
+    m_e = max(m for m, val in values if val == phi) if eps > (0, 0) else None
+    return ScanResult(phi, eps, m_f, m_e)
+
+
+def test_scan_matches_dense_reference():
+    rng = random.Random(11)
+    for _ in range(2000):
+        mono = _random_monomial(rng, window=rng.randint(1, 8), bound=rng.randint(1, 5))
+        for i in INDEX_SET:
+            assert mono.scan(i) == _dense_scan(mono, i), (mono.text(), i)
+
+
+def test_fast_constructor_matches_validating_constructor():
+    """Products, inverses and A-monomials skip validation; they must equal,
+    and hash like, the same data passed through ``ExtMonomial(...)``."""
+    rng = random.Random(12)
+    for _ in range(1000):
+        left, right = _random_monomial(rng), _random_monomial(rng)
+        product = {}
+        for pos, (u, v) in left.factors() + right.factors():
+            pu, pv = product.get(pos, (0, 0))
+            product[pos] = (pu + u, pv + v)
+        negated = {pos: (-u, -v) for pos, (u, v) in left.factors()}
+        for fast, slow in (
+            (left * right, ExtMonomial(product)),
+            (left.inverse(), ExtMonomial(negated)),
+            (left * left.inverse(), ExtMonomial.one()),
+        ):
+            assert fast == slow and hash(fast) == hash(slow) and fast.key() == slow.key()
+    for i in INDEX_SET:
+        for m in range(-3, 4):
+            up, down = a_monomial(i, m), a_monomial(i, m, -1)
+            slow_up = ExtMonomial(dict(up.factors()))
+            slow_down = ExtMonomial({pos: (-u, -v) for pos, (u, v) in up.factors()})
+            assert up == slow_up and hash(up) == hash(slow_up)
+            assert down == slow_down and hash(down) == hash(slow_down)

@@ -113,6 +113,10 @@ def test_from_rows_validation():
         MLTableau.from_rows([L2, L1, L1], [L2])  # row 1 not sorted
     with pytest.raises(ValueError):
         MLTableau.from_rows([L1, L1], [])  # empty row
+    with pytest.raises(ValueError, match="b0 must be 0 or 1"):
+        MLTableau.from_rows([L1, L1, L0, L0], [L2])  # two 0 boxes
+    with pytest.raises(ValueError, match="b0 must be 0 or 1"):
+        MLTableau(b0=2)
 
 
 def test_weights():
