@@ -30,6 +30,7 @@ from .graph import (
 from .isomorphisms import (
     cliff_to_minf,
     cliff_to_tableau,
+    convert,
     minf_to_cliff,
     minf_to_tableau,
     shift_params,
@@ -72,6 +73,7 @@ __all__ = [
     "cliff_to_tableau",
     "minf_to_cliff",
     "cliff_to_minf",
+    "convert",
     "shift_params",
     "CrystalGraph",
     "bfs",

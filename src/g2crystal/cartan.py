@@ -1,4 +1,5 @@
-"""G2 Cartan datum, weight arithmetic, and extended exponent pairs.
+"""G2 Cartan datum, weight arithmetic, extended exponent pairs, and the
+shared count-vector core.
 
 Every module in the package takes its conventions from here.  The index set
 is I = {1, 2} with alpha_1 the short root, fixed by
@@ -12,9 +13,18 @@ demand (the change of basis is unimodular, so both directions stay in
 integers).
 
 Extended exponents are pairs ``(u, v)`` of integers ordered
-lexicographically; plain tuples already compare that way, so an "ExtPair"
-is just a ``tuple[int, int]`` and pair arithmetic lives in the helper
-functions below.  An extended weight is one pair per fundamental weight.
+lexicographically; plain tuples already compare that way, so pair
+arithmetic lives in the helper functions below.  An extended weight is one
+pair per fundamental weight.
+
+Count vectors
+-------------
+Elements of M(infinity) and marginally large tableaux are both stored as
+the seven counts ``(b2, b3, b0, b3bar, b2bar, b1bar, b3low)``: nonnegative
+integers with ``b0 <= 1``.  :class:`CountVector` holds that storage, its
+validation and its JSON reader; :func:`reduce_signature` is the (0,1)
+cancellation that every signature rule ends with.  The rules that build the
+signature words and act on them stay with each realization.
 
 Crystal element contract
 ------------------------
@@ -33,6 +43,7 @@ All of them are immutable values; everything here is a pure function.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 INDEX_SET = (1, 2)
@@ -42,9 +53,6 @@ CARTAN = {(1, 1): 2, (1, 2): -3, (2, 1): -1, (2, 2): 2}
 
 # Monomial convention constants c_ij with c_12 + c_21 = 1.
 C_SHIFT = {(1, 2): 1, (2, 1): 0}
-
-ExtPair = tuple  # (u, v), lexicographic order == tuple order
-Weight = tuple  # (w1, w2) in Lambda-coordinates
 
 PAIR_ZERO = (0, 0)
 WEIGHT_ZERO = (0, 0)
@@ -76,10 +84,6 @@ def weight_sub(w, x):
     return (w[0] - x[0], w[1] - x[1])
 
 
-def fundamental_weight(i):
-    return (1, 0) if i == 1 else (0, 1)
-
-
 def simple_root(i):
     return SIMPLE_ROOTS[i]
 
@@ -109,10 +113,70 @@ def roots_to_weight(a, b):
     return (w1, w2)
 
 
-def ext_weight_add(ew, fx):
-    return (pair_add(ew[0], fx[0]), pair_add(ew[1], fx[1]))
-
-
 def ext_weight_project(ew):
     """Project an extended weight onto its ordinary part (second components)."""
     return (ew[0][1], ew[1][1])
+
+
+def read_json_ints(obj, defaults):
+    """Strict reader of one element-JSON object.
+
+    ``defaults`` maps every known key to the value taken when the key is
+    omitted, or to ``None`` when the key is required.  Unknown keys and
+    values that are not JSON integers (booleans, floats, strings, ...) are
+    rejected with :class:`ValueError`.  Returns a dict over all known keys.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    for key in obj:
+        if key not in defaults:
+            raise ValueError(f"unknown key {key!r}; expected keys {', '.join(defaults)}")
+    values = {**defaults, **obj}
+    for key, value in values.items():
+        if key not in obj and value is None:
+            raise ValueError(f"missing key {key!r}")
+        if type(value) is not int:
+            raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return values
+
+
+def reduce_signature(word):
+    """Cancel (0,1) adjacencies in a word of ``(symbol, tag)`` pairs until it
+    reads ones followed by zeros; survivors keep their tags."""
+    reduced = []
+    for sym in word:
+        if sym[0] == 1 and reduced and reduced[-1][0] == 0:
+            reduced.pop()
+        else:
+            reduced.append(sym)
+    return reduced
+
+
+@dataclass(frozen=True)
+class CountVector:
+    """The seven nonnegative counts shared by M(infinity) and the tableaux."""
+
+    b2: int = 0
+    b3: int = 0
+    b0: int = 0
+    b3bar: int = 0
+    b2bar: int = 0
+    b1bar: int = 0
+    b3low: int = 0
+
+    def __post_init__(self):
+        counts = self.counts()
+        if any(c < 0 for c in counts):
+            raise ValueError(f"negative count in {counts}")
+        if self.b0 > 1:
+            raise ValueError(f"b0 must be 0 or 1, got {self.b0}")
+
+    def counts(self):
+        return (self.b2, self.b3, self.b0, self.b3bar, self.b2bar, self.b1bar, self.b3low)
+
+    @classmethod
+    def from_json(cls, obj):
+        return cls(**read_json_ints(obj, {f.name: f.default for f in fields(cls)}))
+
+
+COUNT_FIELDS = tuple(f.name for f in fields(CountVector))

@@ -16,13 +16,7 @@ import os
 import sys
 
 from .graph import REALIZATIONS, bfs, element_from_json, highest_element, to_dot, to_json
-from .isomorphisms import (
-    cliff_to_tableau,
-    minf_to_tableau,
-    tableau_to_cliff,
-    tableau_to_minf,
-)
-from .minf import minf_from_monomial
+from .isomorphisms import convert
 from .verify import SUITES, check_bookkeeping, check_shift_family
 
 DEFAULT_DEPTH_CAP = 12
@@ -60,26 +54,6 @@ def _read_element(args):
     return element_from_json(args.realization, obj)
 
 
-def _to_tableau(realization, elem):
-    if realization == "tableaux":
-        return elem
-    if realization == "minf":
-        return minf_to_tableau(elem)
-    if realization == "cliff":
-        return cliff_to_tableau(elem)
-    return minf_to_tableau(minf_from_monomial(elem))
-
-
-def _from_tableau(realization, tab):
-    if realization == "tableaux":
-        return tab
-    if realization == "minf":
-        return tableau_to_minf(tab)
-    if realization == "cliff":
-        return tableau_to_cliff(tab)
-    return tableau_to_minf(tab).to_monomial()
-
-
 def cmd_graph(args):
     depth = _check_depth(args.depth, args.force)
     graph = bfs(highest_element(args.realization), depth, args.realization)
@@ -107,8 +81,7 @@ def cmd_apply(args):
 
 
 def cmd_convert(args):
-    elem = _read_element(args)
-    target = _from_tableau(args.to_realization, _to_tableau(args.realization, elem))
+    target = convert(_read_element(args), args.realization, args.to_realization)
     print(json.dumps(target.to_json()))
     return 0
 

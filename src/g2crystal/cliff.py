@@ -26,10 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .cartan import WEIGHT_ZERO, pair_scale, pairing, simple_root, weight_add
+from .cartan import WEIGHT_ZERO, pair_scale, pairing, read_json_ints, simple_root, weight_add
 
 # Field name and factor index for each tensor slot, in tensor order.
 _SLOTS = (("k12bar", 1), ("k13bar", 2), ("k13", 1), ("k12", 2), ("k11", 1), ("k22", 2))
+_JSON_FIELDS = tuple(name for name, _index in _SLOTS)
 
 
 @dataclass(frozen=True)
@@ -171,18 +172,16 @@ class CliffElement:
         return "u∞ ⊗ " + " ⊗ ".join(f.text() for f in self.factors())
 
     def to_json(self):
-        return {
-            "k12bar": self.k12bar,
-            "k13bar": self.k13bar,
-            "k13": self.k13,
-            "k12": self.k12,
-            "k11": self.k11,
-            "k22": self.k22,
-        }
+        return dict(zip(_JSON_FIELDS, self.ks()))
 
     @classmethod
     def from_json(cls, obj):
-        return cls(**{k: int(v) for k, v in obj.items()})
+        """Read counts and require the chain, so non-members never enter
+        through JSON; direct construction admits them for the closure suite."""
+        elem = cls(**read_json_ints(obj, dict.fromkeys(_JSON_FIELDS, 0)))
+        if not elem.is_member():
+            raise ValueError(f"not in the realization: {elem.text()}")
+        return elem
 
 
 def highest_cliff():

@@ -37,9 +37,6 @@ class CrystalGraph:
     def element(self, key):
         return self.nodes[key][0]
 
-    def node_depth(self, key):
-        return self.nodes[key][1]
-
     def sorted_keys(self):
         return sorted(self.nodes, key=lambda k: (self.nodes[k][1], k))
 

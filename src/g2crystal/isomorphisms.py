@@ -16,12 +16,15 @@ and its inverse resolves the halved middle term with integer arithmetic:
 
 Changing the family parameters of a monomial element while keeping its
 count vector is itself an isomorphism onto the shifted family.
+
+:func:`convert` routes between any two realizations through the tableaux:
+one map into them and one map out of them per realization.
 """
 
 from __future__ import annotations
 
 from .cliff import CliffElement
-from .minf import MinfElement
+from .minf import MinfElement, minf_from_monomial
 from .tableaux import MLTableau
 
 
@@ -70,8 +73,33 @@ def shift_params(elem, p1, p2, r):
 
 
 def minf_to_cliff(elem):
-    return tableau_to_cliff(minf_to_tableau(elem))
+    return convert(elem, "minf", "cliff")
 
 
 def cliff_to_minf(elem):
-    return tableau_to_minf(cliff_to_tableau(elem))
+    return convert(elem, "cliff", "minf")
+
+
+def _identity(elem):
+    return elem
+
+
+_TO_TABLEAU = {
+    "tableaux": _identity,
+    "minf": minf_to_tableau,
+    "cliff": cliff_to_tableau,
+    "monomial": lambda mono: minf_to_tableau(minf_from_monomial(mono)),
+}
+
+_FROM_TABLEAU = {
+    "tableaux": _identity,
+    "minf": tableau_to_minf,
+    "cliff": tableau_to_cliff,
+    "monomial": lambda tab: tableau_to_minf(tab).to_monomial(),
+}
+
+
+def convert(elem, source, target):
+    """The image of ``elem``, an element of realization ``source``, in
+    realization ``target`` (names as in :data:`~g2crystal.graph.REALIZATIONS`)."""
+    return _FROM_TABLEAU[target](_TO_TABLEAU[source](elem))

@@ -30,12 +30,10 @@ suites check that equivalence exhaustively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
-from .cartan import PAIR_ZERO, pair_add, pairing
+from .cartan import PAIR_ZERO, CountVector, pair_add, pairing, reduce_signature
 from .monomials import ExtMonomial
-
-X_LETTERS = ("1", "2", "3", "0", "3b", "2b", "1b")
 
 
 def x_monomial(letter, m, u, v):
@@ -65,31 +63,17 @@ def _x_exponents(letter, m, u, v):
 
 
 @dataclass(frozen=True)
-class MinfElement:
+class MinfElement(CountVector):
     """Canonical count vector of an element of M(p1, p2; r; infinity)."""
 
-    b2: int = 0
-    b3: int = 0
-    b0: int = 0
-    b3bar: int = 0
-    b2bar: int = 0
-    b1bar: int = 0
-    b3low: int = 0
     p1: int = 1
     p2: int = 1
     r: int = 0
 
     def __post_init__(self):
-        counts = self.counts()
-        if any(c < 0 for c in counts):
-            raise ValueError(f"negative count in {counts}")
-        if self.b0 > 1:
-            raise ValueError(f"b0 must be 0 or 1, got {self.b0}")
+        super().__post_init__()
         if self.p1 < 1 or self.p2 < 1:
             raise ValueError("family parameters p1, p2 must be positive")
-
-    def counts(self):
-        return (self.b2, self.b3, self.b0, self.b3bar, self.b2bar, self.b1bar, self.b3low)
 
     def params(self):
         return (self.p1, self.p2, self.r)
@@ -169,13 +153,7 @@ class MinfElement:
             word += [(1, "3low")] * self.b3low
         else:
             raise ValueError(f"index must be 1 or 2, got {i}")
-        reduced = []
-        for sym in word:
-            if sym[0] == 1 and reduced and reduced[-1][0] == 0:
-                reduced.pop()
-            else:
-                reduced.append(sym)
-        return reduced
+        return reduce_signature(word)
 
     def f(self, i):
         """Lowering operator; total on the family (never the crystal zero)."""
@@ -238,22 +216,10 @@ class MinfElement:
         return " ".join(parts)
 
     def to_json(self):
-        return {
-            "b2": self.b2,
-            "b3": self.b3,
-            "b0": self.b0,
-            "b3bar": self.b3bar,
-            "b2bar": self.b2bar,
-            "b1bar": self.b1bar,
-            "b3low": self.b3low,
-            "p1": self.p1,
-            "p2": self.p2,
-            "r": self.r,
-        }
+        return dict(zip(_JSON_FIELDS, self.counts() + self.params()))
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(**{k: int(v) for k, v in obj.items()})
+
+_JSON_FIELDS = tuple(f.name for f in fields(MinfElement))
 
 
 def highest_minf(p1=1, p2=1, r=0):

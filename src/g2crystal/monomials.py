@@ -32,9 +32,13 @@ from .cartan import (
     ext_weight_project,
     pair_add,
     pair_neg,
+    read_json_ints,
 )
 
 ScanResult = namedtuple("ScanResult", "phi_pair eps_pair m_f m_e")
+
+# Every key of a factor record is required.
+_FACTOR_KEYS = dict.fromkeys(("i", "m", "u", "v"))
 
 
 class ExtMonomial:
@@ -72,11 +76,6 @@ class ExtMonomial:
     @classmethod
     def one(cls):
         return cls()
-
-    @classmethod
-    def variable(cls, i, m, u, v):
-        """The single factor ``Y_i(m)^(u,v)``."""
-        return cls({(i, m): (u, v)})
 
     def exponent(self, i, m):
         return self._exp.get((i, m), PAIR_ZERO)
@@ -191,8 +190,11 @@ class ExtMonomial:
 
     @classmethod
     def from_json(cls, obj):
+        if not isinstance(obj, list):
+            raise ValueError(f"expected a JSON array of factors, got {type(obj).__name__}")
         exp = {}
         for rec in obj:
+            rec = read_json_ints(rec, _FACTOR_KEYS)
             pos = (rec["i"], rec["m"])
             exp[pos] = pair_add(exp.get(pos, PAIR_ZERO), (rec["u"], rec["v"]))
         return cls(exp)

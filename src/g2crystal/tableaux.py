@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import pairing, roots_to_weight
+from .cartan import COUNT_FIELDS, CountVector, pairing, reduce_signature, roots_to_weight
 
 LETTER_NAMES = ("1", "2", "3", "0", "3b", "2b", "1b")
 L1, L2, L3, L0, L3B, L2B, L1B = range(7)
@@ -37,26 +37,8 @@ E_STEP = {i: {dst: src for src, dst in steps.items()} for i, steps in F_STEP.ite
 
 
 @dataclass(frozen=True)
-class MLTableau:
+class MLTableau(CountVector):
     """A marginally large G2 tableau, stored as its count vector."""
-
-    b2: int = 0
-    b3: int = 0
-    b0: int = 0
-    b3bar: int = 0
-    b2bar: int = 0
-    b1bar: int = 0
-    b3low: int = 0
-
-    def __post_init__(self):
-        counts = self.counts()
-        if any(c < 0 for c in counts):
-            raise ValueError(f"negative count in {counts}")
-        if self.b0 > 1:
-            raise ValueError(f"b0 must be 0 or 1, got {self.b0}")
-
-    def counts(self):
-        return (self.b2, self.b3, self.b0, self.b3bar, self.b2bar, self.b1bar, self.b3low)
 
     def key(self):
         return self.counts()
@@ -120,13 +102,7 @@ class MLTableau:
         for letter, pos in self.reading():
             word += [(1, pos)] * EPS[i][letter]
             word += [(0, pos)] * PHI[i][letter]
-        reduced = []
-        for sym in word:
-            if sym[0] == 1 and reduced and reduced[-1][0] == 0:
-                reduced.pop()
-            else:
-                reduced.append(sym)
-        return reduced
+        return reduce_signature(word)
 
     # -- Kashiwara operators --------------------------------------------------
 
@@ -203,19 +179,7 @@ class MLTableau:
         return top + "\n" + bottom
 
     def to_json(self):
-        return {
-            "b2": self.b2,
-            "b3": self.b3,
-            "b0": self.b0,
-            "b3bar": self.b3bar,
-            "b2bar": self.b2bar,
-            "b1bar": self.b1bar,
-            "b3low": self.b3low,
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(**{k: int(v) for k, v in obj.items()})
+        return dict(zip(COUNT_FIELDS, self.counts()))
 
 
 def highest_tableau():

@@ -200,3 +200,40 @@ def test_tableau_with_two_zeros_rejected(capsys, monkeypatch, argv):
     code, out, err = run(capsys, monkeypatch, argv, stdin='{"b0": 2}')
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "b0 must be 0 or 1, got 2" in err
+
+
+@pytest.mark.parametrize("command", ["apply", "convert"])
+@pytest.mark.parametrize(
+    ("realization", "stdin"),
+    [
+        ("minf", '{"bogus": 1}'),
+        ("minf", "[1, 2]"),
+        ("minf", "null"),
+        ("monomial", '[{"i": 1, "u": 1, "v": 0}]'),
+        ("monomial", '{"a": 1}'),
+        ("tableaux", '{"p1": 2}'),
+        ("minf", '{"b2": 1e400}'),
+        ("minf", '{"b2": 1.7}'),
+        ("minf", '{"b2": true}'),
+        ("minf", '{"b2": "3"}'),
+        ("monomial", '[{"i": 1, "m": 0.5, "u": 1, "v": 0}]'),
+    ],
+)
+def test_malformed_element_json_rejected(capsys, monkeypatch, command, realization, stdin):
+    if command == "apply":
+        argv = ["apply", "--realization", realization, "--word", "f1"]
+    else:
+        argv = ["convert", "--from", realization, "--to", "cliff"]
+    code, out, err = run(capsys, monkeypatch, argv, stdin=stdin)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("g2crystal: ")
+
+
+def test_apply_rejects_cliff_non_member(capsys, monkeypatch):
+    code, out, err = run(
+        capsys, monkeypatch,
+        ["apply", "--realization", "cliff", "--word", "f1"],
+        stdin='{"k13": 5}',
+    )
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "not in the realization" in err
