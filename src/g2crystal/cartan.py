@@ -22,7 +22,8 @@ Count vectors
 Elements of M(infinity) and marginally large tableaux are both stored as
 the seven counts ``(b2, b3, b0, b3bar, b2bar, b1bar, b3low)``: nonnegative
 integers with ``b0 <= 1``.  :class:`CountVector` holds that storage, its
-validation and its JSON reader; :func:`reduce_signature` is the (0,1)
+validation and its JSON reader (which bounds each count by
+:data:`MAX_JSON_COUNT`); :func:`reduce_signature` is the (0,1)
 cancellation that every signature rule ends with.  The rules that build the
 signature words and act on them stay with each realization.
 
@@ -152,6 +153,10 @@ def reduce_signature(word):
     return reduced
 
 
+# Largest count accepted from element JSON; direct construction is unbounded.
+MAX_JSON_COUNT = 100_000
+
+
 @dataclass(frozen=True)
 class CountVector:
     """The seven nonnegative counts shared by M(infinity) and the tableaux."""
@@ -176,7 +181,15 @@ class CountVector:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(**read_json_ints(obj, {f.name: f.default for f in fields(cls)}))
+        """Read counts strictly and bound them by :data:`MAX_JSON_COUNT`:
+        the signature rules build words as long as the counts."""
+        values = read_json_ints(obj, {f.name: f.default for f in fields(cls)})
+        for name in COUNT_FIELDS:
+            if values[name] > MAX_JSON_COUNT:
+                raise ValueError(
+                    f"{name!r} must be at most {MAX_JSON_COUNT}, got {values[name]}"
+                )
+        return cls(**values)
 
 
 COUNT_FIELDS = tuple(f.name for f in fields(CountVector))

@@ -2,17 +2,17 @@
 
 Elements travel as JSON (stdin or ``--input``); graphs leave as DOT or JSON
 on stdout or ``--out``.  Exit codes: 0 success, 1 property violation,
-2 usage or input error.  Depths beyond the cap (environment variable
-``G2CRYSTAL_DEPTH_CAP``, default 12) are refused without ``--force`` since
-level sizes grow like the Kostant partition function; a cap that is not an
-integer is an input error.
+2 usage or input error.  Depths beyond ``DEFAULT_DEPTH_CAP`` (12) are
+refused without ``--force`` since level sizes grow like the Kostant
+partition function.  ``convert`` routes through M(infinity), so ``--from
+minf`` keeps the family parameters ``(p1, p2, r)`` when the target is
+``minf`` or ``monomial``; tableaux and ``cliff`` exist for (1, 1, 0) only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .graph import REALIZATIONS, bfs, element_from_json, highest_element, to_dot, to_json
@@ -24,20 +24,11 @@ DEFAULT_DEPTH_CAP = 12
 _WORD_OPS = {"f1": ("f", 1), "f2": ("f", 2), "e1": ("e", 1), "e2": ("e", 2)}
 
 
-def _depth_cap():
-    raw = os.environ.get("G2CRYSTAL_DEPTH_CAP", "")
-    if not raw:
-        return DEFAULT_DEPTH_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"G2CRYSTAL_DEPTH_CAP must be an integer, got {raw!r}") from None
-
-
 def _check_depth(depth, force):
-    cap = _depth_cap()
-    if depth > cap and not force:
-        raise ValueError(f"depth {depth} exceeds the cap {cap}; pass --force to override")
+    if depth > DEFAULT_DEPTH_CAP and not force:
+        raise ValueError(
+            f"depth {depth} exceeds the cap {DEFAULT_DEPTH_CAP}; pass --force to override"
+        )
     return depth
 
 

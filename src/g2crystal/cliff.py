@@ -14,12 +14,14 @@ with six nonnegative integers constrained by the chain
 Kashiwara operators are evaluated by the tensor product rule: with
 ``a_k = eps_i(b^k) - sum_{v<k} <h_i, wt(b^v)>`` over the seven factors
 (the head ``u_inf`` contributing eps = 0 and weight 0), the lowering
-operator acts at the unique position whose ``a_k`` is weakly maximal
-against everything before it and strictly maximal against everything after
-it, and the raising operator at the mirror-image position.  Raising at the
-head factor is the crystal zero.
+operator acts at the last position whose ``a_k`` is maximal and the raising
+operator at the first such position.  This is the rule "weakly maximal
+against everything before, strictly maximal against everything after" (and
+its mirror image for raising) read off directly.  Raising at the head
+factor is the crystal zero.
 
-Minus infinity is the ``None`` sentinel; it is compared, never added.
+Minus infinity is the ``None`` sentinel; it is never added, and never
+maximal because the head's ``a_k`` is 0.
 """
 
 from __future__ import annotations
@@ -57,19 +59,6 @@ class ElementaryElement:
 
     def text(self):
         return f"b{self.index}({self.k})"
-
-
-def _ge(x, y):
-    """Weak comparison with ``None`` below every integer."""
-    if x is None:
-        return y is None
-    return y is None or x >= y
-
-
-def _gt(x, y):
-    if x is None:
-        return False
-    return y is None or x > y
 
 
 @dataclass(frozen=True)
@@ -119,24 +108,11 @@ class CliffElement:
         return out
 
     def _select(self, i, lower):
-        """Unique acting position per the tensor rule; 1-based over 7 slots."""
+        """Acting position per the tensor rule, 1-based over the seven slots:
+        the last maximal ``a_k`` for lowering, the first for raising."""
         a = self.a_seq(i)
-        n = len(a)
-        hits = []
-        for k in range(n):
-            before = all(_ge(a[k], a[v]) for v in range(k))
-            after = all(_gt(a[k], a[v]) for v in range(k + 1, n))
-            if lower:
-                if before and after:
-                    hits.append(k + 1)
-            else:
-                strict_before = all(_gt(a[k], a[v]) for v in range(k))
-                weak_after = all(_ge(a[k], a[v]) for v in range(k + 1, n))
-                if strict_before and weak_after:
-                    hits.append(k + 1)
-        if len(hits) != 1:
-            raise RuntimeError(f"tensor rule selected {hits} on {self} for i={i}")
-        return hits[0]
+        top = max(x for x in a if x is not None)
+        return len(a) - a[::-1].index(top) if lower else a.index(top) + 1
 
     def f(self, i):
         pos = self._select(i, lower=True)

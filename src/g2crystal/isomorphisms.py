@@ -17,8 +17,11 @@ and its inverse resolves the halved middle term with integer arithmetic:
 Changing the family parameters of a monomial element while keeping its
 count vector is itself an isomorphism onto the shifted family.
 
-:func:`convert` routes between any two realizations through the tableaux:
-one map into them and one map out of them per realization.
+:func:`convert` routes between any two realizations through M(infinity),
+the realization that carries the family parameters ``(p1, p2, r)``: one map
+into it and one map out of it per realization.  So ``minf`` to ``minf`` is
+the identity and ``minf`` to ``monomial`` is :meth:`MinfElement.to_monomial`
+for every family, while tableaux and ``cliff`` exist for (1, 1, 0) only.
 """
 
 from __future__ import annotations
@@ -73,33 +76,33 @@ def shift_params(elem, p1, p2, r):
 
 
 def minf_to_cliff(elem):
-    return convert(elem, "minf", "cliff")
+    return tableau_to_cliff(minf_to_tableau(elem))
 
 
 def cliff_to_minf(elem):
-    return convert(elem, "cliff", "minf")
+    return tableau_to_minf(cliff_to_tableau(elem))
 
 
 def _identity(elem):
     return elem
 
 
-_TO_TABLEAU = {
-    "tableaux": _identity,
-    "minf": minf_to_tableau,
-    "cliff": cliff_to_tableau,
-    "monomial": lambda mono: minf_to_tableau(minf_from_monomial(mono)),
+_TO_MINF = {
+    "minf": _identity,
+    "tableaux": tableau_to_minf,
+    "cliff": cliff_to_minf,
+    "monomial": minf_from_monomial,
 }
 
-_FROM_TABLEAU = {
-    "tableaux": _identity,
-    "minf": tableau_to_minf,
-    "cliff": tableau_to_cliff,
-    "monomial": lambda tab: tableau_to_minf(tab).to_monomial(),
+_FROM_MINF = {
+    "minf": _identity,
+    "tableaux": minf_to_tableau,
+    "cliff": minf_to_cliff,
+    "monomial": lambda elem: elem.to_monomial(),
 }
 
 
 def convert(elem, source, target):
     """The image of ``elem``, an element of realization ``source``, in
     realization ``target`` (names as in :data:`~g2crystal.graph.REALIZATIONS`)."""
-    return _FROM_TABLEAU[target](_TO_TABLEAU[source](elem))
+    return _FROM_MINF[target](_TO_MINF[source](elem))

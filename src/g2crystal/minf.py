@@ -11,7 +11,8 @@ with seven nonnegative counts (``b0 <= 1``) and family parameters
 ``(p1, p2, r)``; the defaults ``(1, 1, 0)`` give M(infinity) proper.  The
 ``X`` change of variables expands into ``Y`` variables via
 :func:`x_monomial`, and membership of a raw monomial is decided by the
-three support-shape conditions checked in :func:`is_minf_monomial`.
+support shape and three conditions on the exponents, which
+:func:`minf_from_monomial` checks while it inverts the change of variables.
 
 The structure maps are read off the counts without expanding: the weight is
 linear in them (and independent of ``(p1, p2, r)``), ``eps_i`` is the number
@@ -226,8 +227,19 @@ def highest_minf(p1=1, p2=1, r=0):
     return MinfElement(p1=p1, p2=p2, r=r)
 
 
-def _support_exponents(monomial, p1, p2, r):
-    """Exponents at the eight allowed positions, or ``None`` on shape mismatch."""
+def _member_counts(monomial, p1, p2, r):
+    """The seven counts of a member of M(p1, p2; r; infinity), or ``None``
+    for a non-member.
+
+    Membership is the support shape and the three defining conditions on
+    the ordinary exponents: the sign constraints, the two linear relations,
+    and the shared-parity nonnegativity constraint.  The counts follow by
+    the inverse change of variables
+
+    b2 = a2^{r-1} - a2^{r-2},  b2bar = -a2^{r+1},  b1bar = -a1^{r+2},
+    b3low = -a2^{r-2}, and the parity split fixing b0 in {0, 1} with
+    2*b3 = a1^r + a2^{r-1} - a2^{r-2} - b0 and 2*b3bar = -a1^{r+1} - a2^{r+1} - b0.
+    """
     allowed = {
         (1, r - 1): p1,
         (1, r): 0,
@@ -247,56 +259,38 @@ def _support_exponents(monomial, p1, p2, r):
         if u != u_req:
             return None
         a[(i, m)] = v
-    return a
-
-
-def is_minf_monomial(monomial, p1=1, p2=1, r=0):
-    """Membership of a raw monomial in M(p1, p2; r; infinity).
-
-    Checks the support shape and the three defining conditions on the
-    ordinary exponents: the sign constraints, the two linear relations, and
-    the shared-parity nonnegativity constraint.
-    """
-    a = _support_exponents(monomial, p1, p2, r)
-    if a is None:
-        return False
     a1m1, a10, a11, a12 = (a[(1, r - 1)], a[(1, r)], a[(1, r + 1)], a[(1, r + 2)])
     a2m2, a2m1, a20, a21 = (a[(2, r - 2)], a[(2, r - 1)], a[(2, r)], a[(2, r + 1)])
     if a2m2 - a2m1 > 0 or a21 > 0 or a12 > 0 or a2m2 > 0:
-        return False
+        return None
     if (a1m1 - a11 - a12) + (2 * a2m2 + a2m1 - a20 - 2 * a21) != 0:
-        return False
+        return None
     if (a1m1 + a10 - a12) + (a2m2 + 2 * a2m1 + a20 - a21) != 0:
-        return False
+        return None
     s1 = a10 + a2m1 - a2m2
     s2 = -a11 - a21
-    return s1 >= 0 and s2 >= 0 and s1 % 2 == s2 % 2
+    if s1 < 0 or s2 < 0 or s1 % 2 != s2 % 2:
+        return None
+    b0 = s1 % 2
+    return {
+        "b2": a2m1 - a2m2,
+        "b3": (s1 - b0) // 2,
+        "b0": b0,
+        "b3bar": (s2 - b0) // 2,
+        "b2bar": -a21,
+        "b1bar": -a12,
+        "b3low": -a2m2,
+    }
+
+
+def is_minf_monomial(monomial, p1=1, p2=1, r=0):
+    """Membership of a raw monomial in M(p1, p2; r; infinity)."""
+    return _member_counts(monomial, p1, p2, r) is not None
 
 
 def minf_from_monomial(monomial, p1=1, p2=1, r=0):
-    """Canonical count vector of a member, via the change of variables
-
-    b2 = a2^{r-1} - a2^{r-2},  b2bar = -a2^{r+1},  b1bar = -a1^{r+2},
-    b3low = -a2^{r-2}, and the parity split fixing b0 in {0, 1} with
-    2*b3 = a1^r + a2^{r-1} - a2^{r-2} - b0 and 2*b3bar = -a1^{r+1} - a2^{r+1} - b0.
-    """
-    if not is_minf_monomial(monomial, p1, p2, r):
+    """Canonical count vector of a member; ``ValueError`` for a non-member."""
+    counts = _member_counts(monomial, p1, p2, r)
+    if counts is None:
         raise ValueError(f"not a member of M({p1},{p2};{r};infinity): {monomial.text()}")
-    a = _support_exponents(monomial, p1, p2, r)
-    a10, a11, a12 = a[(1, r)], a[(1, r + 1)], a[(1, r + 2)]
-    a2m2, a2m1, a21 = a[(2, r - 2)], a[(2, r - 1)], a[(2, r + 1)]
-    s1 = a10 + a2m1 - a2m2
-    s2 = -a11 - a21
-    b0 = s1 % 2
-    return MinfElement(
-        b2=a2m1 - a2m2,
-        b3=(s1 - b0) // 2,
-        b0=b0,
-        b3bar=(s2 - b0) // 2,
-        b2bar=-a21,
-        b1bar=-a12,
-        b3low=-a2m2,
-        p1=p1,
-        p2=p2,
-        r=r,
-    )
+    return MinfElement(**counts, p1=p1, p2=p2, r=r)

@@ -52,10 +52,6 @@ def test_graph_rejects_unknown_realization(capsys, monkeypatch):
 def test_depth_cap(capsys, monkeypatch):
     code, _out, err = run(capsys, monkeypatch, ["graph", "--realization", "minf", "--depth", "13"])
     assert code == 2 and "exceeds the cap" in err
-    monkeypatch.setenv("G2CRYSTAL_DEPTH_CAP", "15")
-    code, out, _err = run(capsys, monkeypatch, ["graph", "--realization", "minf", "--depth", "13"])
-    assert code == 0 and out.startswith("digraph")
-    monkeypatch.delenv("G2CRYSTAL_DEPTH_CAP")
     code, out, _err = run(
         capsys, monkeypatch,
         ["graph", "--realization", "minf", "--depth", "13", "--force"],
@@ -161,6 +157,34 @@ def test_convert_rejects_non_member(capsys, monkeypatch):
     assert code == 2 and "not a member" in err
 
 
+def test_convert_shifted_minf_keeps_parameters(capsys, monkeypatch):
+    code, out, err = run(
+        capsys, monkeypatch, ["convert", "--from", "minf", "--to", "minf"], stdin='{"p1": 2}'
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out) == {
+        "b2": 0, "b3": 0, "b0": 0, "b3bar": 0, "b2bar": 0, "b1bar": 0,
+        "b3low": 0, "p1": 2, "p2": 1, "r": 0,
+    }
+    code, out, err = run(
+        capsys, monkeypatch, ["convert", "--from", "minf", "--to", "monomial"], stdin='{"p1": 2}'
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out) == [
+        {"i": 1, "m": -1, "u": 2, "v": 0},
+        {"i": 2, "m": -2, "u": 1, "v": 0},
+    ]
+
+
+def test_count_bound_is_inclusive(capsys, monkeypatch):
+    code, out, err = run(
+        capsys, monkeypatch,
+        ["convert", "--from", "tableaux", "--to", "minf"],
+        stdin='{"b3low": 100000}',
+    )
+    assert code == 0 and err == "" and json.loads(out)["b3low"] == 100000
+
+
 def test_convert_rejects_bad_json(capsys, monkeypatch):
     code, _out, err = run(
         capsys, monkeypatch,
@@ -180,13 +204,6 @@ def test_verify_suites_pass(capsys, monkeypatch, suite):
 def test_verify_closure_depth_zero(capsys, monkeypatch):
     code, out, _err = run(capsys, monkeypatch, ["verify", "closure", "--depth", "0"])
     assert code == 0 and "pass" in out
-
-
-def test_depth_cap_rejects_unparsable_value(capsys, monkeypatch):
-    monkeypatch.setenv("G2CRYSTAL_DEPTH_CAP", "abc")
-    code, out, err = run(capsys, monkeypatch, ["graph", "--realization", "minf", "--depth", "2"])
-    assert code == 2 and out == ""
-    assert err.count("\n") == 1 and "G2CRYSTAL_DEPTH_CAP" in err and "'abc'" in err
 
 
 @pytest.mark.parametrize(
@@ -217,6 +234,8 @@ def test_tableau_with_two_zeros_rejected(capsys, monkeypatch, argv):
         ("minf", '{"b2": true}'),
         ("minf", '{"b2": "3"}'),
         ("monomial", '[{"i": 1, "m": 0.5, "u": 1, "v": 0}]'),
+        ("minf", '{"b2": 100001}'),
+        ("tableaux", '{"b2": 100001}'),
     ],
 )
 def test_malformed_element_json_rejected(capsys, monkeypatch, command, realization, stdin):

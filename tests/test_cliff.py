@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -155,6 +156,50 @@ def test_selection_agrees_with_closed_form_argmax():
                 assert up is not None
                 changed = [j for j in range(6) if up.ks()[j] != before[j]]
                 assert changed == [e_slot - 1]
+
+
+def _ge(x, y):
+    """Weak comparison with ``None`` (minus infinity) below every integer."""
+    if x is None:
+        return y is None
+    return y is None or x >= y
+
+
+def _gt(x, y):
+    if x is None:
+        return False
+    return y is None or x > y
+
+
+def pairwise_select(a, lower):
+    """The tensor rule by its definition, 1-based: lowering acts at the
+    position weakly maximal against every earlier ``a_k`` and strictly
+    maximal against every later one; raising at the mirror image."""
+    n = len(a)
+    hits = []
+    for k in range(n):
+        if lower:
+            before = all(_ge(a[k], a[v]) for v in range(k))
+            after = all(_gt(a[k], a[v]) for v in range(k + 1, n))
+        else:
+            before = all(_gt(a[k], a[v]) for v in range(k))
+            after = all(_ge(a[k], a[v]) for v in range(k + 1, n))
+        if before and after:
+            hits.append(k + 1)
+    assert len(hits) == 1, (a, lower, hits)
+    return hits[0]
+
+
+def test_selection_agrees_with_pairwise_definition_off_the_crystal():
+    vectors = list(itertools.product(range(4), repeat=6))
+    rng = random.Random(41)
+    vectors += [tuple(rng.randint(0, 60) for _ in range(6)) for _ in range(2000)]
+    for ks in vectors:
+        elem = CliffElement(*ks)  # members and non-members alike
+        for i in INDEX_SET:
+            a = elem.a_seq(i)
+            for lower in (True, False):
+                assert elem._select(i, lower) == pairwise_select(a, lower), (ks, i, lower)
 
 
 def test_closure_and_involution_to_depth_five():

@@ -14,6 +14,7 @@ from g2crystal.minf import (
     x_monomial,
 )
 from g2crystal.monomials import ExtMonomial, highest_monomial
+from g2crystal.verify import random_monomial
 
 from conftest import DEPTH2_COUNTS, DEPTH2_YFORMS, EXAMPLE_COUNTS
 
@@ -228,3 +229,29 @@ def test_closed_form_maps_match_expansion_on_large_counts():
                 r=rng.randint(-5, 5),
             )
         )
+
+
+def _membership_agrees(mono, params):
+    """``is_minf_monomial`` holds exactly when ``minf_from_monomial`` does not
+    raise; returns the element, or ``None`` for a non-member."""
+    try:
+        elem = minf_from_monomial(mono, *params)
+    except ValueError:
+        assert not is_minf_monomial(mono, *params), (mono.text(), params)
+        return None
+    assert is_minf_monomial(mono, *params), (mono.text(), params)
+    return elem
+
+
+@pytest.mark.parametrize("params", [(1, 1, 0), (2, 3, -2), (3, 1, 3)])
+def test_membership_agrees_with_inverse(params):
+    rng = random.Random(31)
+    for _ in range(2000):
+        _membership_agrees(random_monomial(rng), params)
+    # Raising a_1^r by 2 keeps the support shape, the signs and the parity of
+    # s1, so only the second linear relation rejects the product.
+    nudge = ExtMonomial({(1, params[2]): (0, 2)})
+    for elem, _depth in bfs(highest_minf(*params), 6, "minf").nodes.values():
+        mono = elem.to_monomial()
+        assert _membership_agrees(mono, params) == elem
+        assert _membership_agrees(mono * nudge, params) is None
