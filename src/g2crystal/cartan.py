@@ -56,7 +56,6 @@ CARTAN = {(1, 1): 2, (1, 2): -3, (2, 1): -1, (2, 2): 2}
 C_SHIFT = {(1, 2): 1, (2, 1): 0}
 
 PAIR_ZERO = (0, 0)
-WEIGHT_ZERO = (0, 0)
 
 # Simple roots in Lambda-coordinates: alpha_j = sum_i a_ij Lambda_i.
 SIMPLE_ROOTS = {1: (2, -1), 2: (-3, 2)}
@@ -75,10 +74,6 @@ def pair_neg(p):
 
 def pair_scale(p, c):
     return (c * p[0], c * p[1])
-
-
-def weight_add(w, x):
-    return (w[0] + x[0], w[1] + x[1])
 
 
 def weight_sub(w, x):
@@ -112,11 +107,6 @@ def roots_to_weight(a, b):
         if w1.denominator == 1 and w2.denominator == 1:
             return (int(w1), int(w2))
     return (w1, w2)
-
-
-def ext_weight_project(ew):
-    """Project an extended weight onto its ordinary part (second components)."""
-    return (ew[0][1], ew[1][1])
 
 
 def read_json_ints(obj, defaults):

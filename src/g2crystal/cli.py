@@ -5,8 +5,9 @@ on stdout or ``--out``.  Exit codes: 0 success, 1 property violation,
 2 usage or input error.  Depths beyond ``DEFAULT_DEPTH_CAP`` (12) are
 refused without ``--force`` since level sizes grow like the Kostant
 partition function.  ``convert`` routes through M(infinity), so ``--from
-minf`` keeps the family parameters ``(p1, p2, r)`` when the target is
-``minf`` or ``monomial``; tableaux and ``cliff`` exist for (1, 1, 0) only.
+minf`` and ``--from monomial`` keep the family parameters ``(p1, p2, r)``
+when the target is ``minf`` or ``monomial``; tableaux and ``cliff`` exist
+for (1, 1, 0) only.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 
 from .graph import REALIZATIONS, bfs, element_from_json, highest_element, to_dot, to_json
 from .isomorphisms import convert
-from .verify import SUITES, check_bookkeeping, check_shift_family
+from .verify import SUITES, check_bookkeeping
 
 DEFAULT_DEPTH_CAP = 12
 
@@ -81,8 +82,6 @@ def cmd_verify(args):
     depth = _check_depth(args.depth, args.force)
     if args.suite == "bookkeeping":
         report = check_bookkeeping()
-    elif args.suite == "shift":
-        report = check_shift_family(depth)
     else:
         report = SUITES[args.suite](depth)
     print(report.summary())
@@ -119,9 +118,7 @@ def build_parser():
     p_convert.set_defaults(func=cmd_convert)
 
     p_verify = sub.add_parser("verify", help="run a property suite")
-    p_verify.add_argument(
-        "suite", choices=sorted(SUITES) + ["bookkeeping", "shift"]
-    )
+    p_verify.add_argument("suite", choices=sorted(SUITES) + ["bookkeeping"])
     p_verify.add_argument("--depth", type=int, default=6)
     p_verify.add_argument("--force", action="store_true", help="allow depths beyond the cap")
     p_verify.set_defaults(func=cmd_verify)

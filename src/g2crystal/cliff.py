@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .cartan import WEIGHT_ZERO, pair_scale, pairing, read_json_ints, simple_root, weight_add
+from .cartan import PAIR_ZERO, pair_add, pair_scale, pairing, read_json_ints, simple_root
 
 # Field name and factor index for each tensor slot, in tensor order.
 _SLOTS = (("k12bar", 1), ("k13bar", 2), ("k13", 1), ("k12", 2), ("k11", 1), ("k22", 2))
@@ -131,9 +131,9 @@ class CliffElement:
     # -- structure maps -------------------------------------------------------
 
     def wt(self):
-        w = WEIGHT_ZERO
+        w = PAIR_ZERO
         for factor in self.factors():
-            w = weight_add(w, factor.wt())
+            w = pair_add(w, factor.wt())
         return w
 
     def eps(self, i):

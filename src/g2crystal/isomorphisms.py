@@ -22,6 +22,8 @@ the realization that carries the family parameters ``(p1, p2, r)``: one map
 into it and one map out of it per realization.  So ``minf`` to ``minf`` is
 the identity and ``minf`` to ``monomial`` is :meth:`MinfElement.to_monomial`
 for every family, while tableaux and ``cliff`` exist for (1, 1, 0) only.
+A raw monomial names its own family, so ``monomial`` to ``minf`` keeps the
+parameters too.
 """
 
 from __future__ import annotations
@@ -87,11 +89,20 @@ def _identity(elem):
     return elem
 
 
+def _monomial_to_minf(mono):
+    """Parse a raw monomial as a member of the family it names: ``p1`` and
+    ``p2`` are the u-totals of its extended weight, and the Y_1 factor
+    carrying ``p1`` sits at ``r - 1``.  ``ValueError`` for a non-member."""
+    (p1, _v1), (p2, _v2) = mono.wt_pairs()
+    r = next((m + 1 for (i, m), (u, _v) in mono.factors() if i == 1 and u != 0), 0)
+    return minf_from_monomial(mono, p1, p2, r)
+
+
 _TO_MINF = {
     "minf": _identity,
     "tableaux": tableau_to_minf,
     "cliff": cliff_to_minf,
-    "monomial": minf_from_monomial,
+    "monomial": _monomial_to_minf,
 }
 
 _FROM_MINF = {

@@ -22,11 +22,14 @@ Y-monomial, which stays the independent oracle.
 
 Kashiwara operators are evaluated by the signature rule: write a word of
 1s and 0s under an ordered list of components, cancel (0,1) adjacencies,
-and dispatch on the component owning the leftmost surviving 0 (for the
-lowering operator) or the rightmost surviving 1 (for the raising
-operator).  Each case is multiplication by an explicit ``A_i(m)^{+-1}``,
-so the rule agrees with the generic monomial operators; the verification
-suites check that equivalence exhaustively.
+and read the component owning the leftmost surviving 0 (for the lowering
+operator) or the rightmost surviving 1 (for the raising operator).  Each
+case moves one unit between two counts, a step of the fundamental chain
+1 -1-> 2 -2-> 3 -1-> 0 -1-> 3b -2-> 2b -1-> 1b; ``f_i`` takes its step from
+one table and ``e_i`` from the inverted table, so ``e_i`` undoes ``f_i``.
+Each step is multiplication by an explicit ``A_i(m)^{+-1}``, so the rule
+agrees with the generic monomial operators; the verification suites check
+that equivalence exhaustively.
 """
 
 from __future__ import annotations
@@ -158,53 +161,25 @@ class MinfElement(CountVector):
 
     def f(self, i):
         """Lowering operator; total on the family (never the crystal zero)."""
-        sig = self.signature(i)
-        zero_tags = [tag for sym, tag in sig if sym == 0]
-        tag = zero_tags[0] if zero_tags else None
-        if i == 1:
-            if tag is None:
-                return replace(self, b2=self.b2 + 1)
-            if tag == "2b":
-                return replace(self, b2bar=self.b2bar - 1, b1bar=self.b1bar + 1)
-            if tag == "0":
-                return replace(self, b0=self.b0 - 1, b3bar=self.b3bar + 1)
-            if self.b0 != 0:
-                raise RuntimeError(
-                    "a surviving 0 at X_3 forces b0 = 0: the X_0 zero sits further left"
-                )
-            return replace(self, b3=self.b3 - 1, b0=self.b0 + 1)
-        if tag is None:
-            return replace(self, b3low=self.b3low + 1)
-        if tag == "3b":
-            return replace(self, b3bar=self.b3bar - 1, b2bar=self.b2bar + 1)
-        return replace(self, b2=self.b2 - 1, b3=self.b3 + 1)
+        source = next((tag for sym, tag in self.signature(i) if sym == 0), None)
+        return self._move(source, _F_STEP[i][source])
 
     def e(self, i):
         """Raising operator; ``None`` when no 1 survives in the signature."""
-        sig = self.signature(i)
-        one_tags = [tag for sym, tag in sig if sym == 1]
-        if not one_tags:
+        ones = [tag for sym, tag in self.signature(i) if sym == 1]
+        if not ones:
             return None
-        tag = one_tags[-1]
-        if i == 1:
-            if tag == "1b":
-                return replace(self, b1bar=self.b1bar - 1, b2bar=self.b2bar + 1)
-            if tag == "3b":
-                if self.b0 != 0:
-                    raise RuntimeError(
-                        "a surviving 1 at X_3b forces b0 = 0: the X_0 one would outlive it"
-                    )
-                return replace(self, b3bar=self.b3bar - 1, b0=self.b0 + 1)
-            if tag == "0":
-                if self.b0 != 1:
-                    raise RuntimeError("a surviving 1 at X_0 forces b0 = 1")
-                return replace(self, b0=self.b0 - 1, b3=self.b3 + 1)
-            return replace(self, b2=self.b2 - 1)
-        if tag == "2b":
-            return replace(self, b2bar=self.b2bar - 1, b3bar=self.b3bar + 1)
-        if tag == "3":
-            return replace(self, b3=self.b3 - 1, b2=self.b2 + 1)
-        return replace(self, b3low=self.b3low - 1)
+        return self._move(ones[-1], _E_STEP[i][ones[-1]])
+
+    def _move(self, source, target):
+        """Take one from ``source``'s count and add one to ``target``'s;
+        ``None`` is the X_1 body, which has no count."""
+        change = {}
+        if source is not None:
+            change[_COUNT[source]] = getattr(self, _COUNT[source]) - 1
+        if target is not None:
+            change[_COUNT[target]] = getattr(self, _COUNT[target]) + 1
+        return replace(self, **change)
 
     # -- serialization -----------------------------------------------------
 
@@ -221,6 +196,16 @@ class MinfElement(CountVector):
 
 
 _JSON_FIELDS = tuple(f.name for f in fields(MinfElement))
+
+# Component owning the leftmost surviving 0 -> component f_i moves one unit
+# into; ``None`` is the X_1 body (no 0 survives).
+_F_STEP = {
+    1: {None: "2", "2b": "1b", "0": "3b", "3": "0"},
+    2: {None: "3low", "3b": "2b", "2": "3"},
+}
+_E_STEP = {i: {dst: src for src, dst in steps.items()} for i, steps in _F_STEP.items()}
+_COUNT = {"2": "b2", "3": "b3", "0": "b0", "3b": "b3bar", "2b": "b2bar", "1b": "b1bar",
+          "3low": "b3low"}
 
 
 def highest_minf(p1=1, p2=1, r=0):

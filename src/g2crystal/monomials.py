@@ -29,7 +29,6 @@ from .cartan import (
     CARTAN,
     INDEX_SET,
     PAIR_ZERO,
-    ext_weight_project,
     pair_add,
     pair_neg,
     read_json_ints,
@@ -123,7 +122,9 @@ class ExtMonomial:
         return (totals[1], totals[2])
 
     def wt(self):
-        return ext_weight_project(self.wt_pairs())
+        """Ordinary weight: the second components of :meth:`wt_pairs`."""
+        (_u1, v1), (_u2, v2) = self.wt_pairs()
+        return (v1, v2)
 
     def scan(self, i):
         """Prefix-sum extrema for index ``i``.

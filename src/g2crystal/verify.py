@@ -204,14 +204,14 @@ def check_lemma_equivalence(depth):
     return report
 
 
-def random_monomial(rng, window=5, bound=4):
-    """A random extended monomial with support in m in [-window, window]
-    and exponents in [-bound, bound]^2."""
+def random_monomial(rng):
+    """A random extended monomial with support in m in [-5, 5] and
+    exponents in [-4, 4]^2."""
     exp = {}
     for i in INDEX_SET:
-        for m in range(-window, window + 1):
+        for m in range(-5, 6):
             if rng.random() < 0.25:
-                exp[(i, m)] = (rng.randint(-bound, bound), rng.randint(-bound, bound))
+                exp[(i, m)] = (rng.randint(-4, 4), rng.randint(-4, 4))
     return ExtMonomial(exp)
 
 
@@ -261,7 +261,7 @@ _SHIFT_GRID = tuple(
 )
 
 
-def check_shift_family(depth, grid=_SHIFT_GRID):
+def check_shift_family(depth):
     """Changing family parameters commutes with the operators, and the
     structure maps computed on the expanded shifted monomials equal the
     closed-form maps of the unshifted element."""
@@ -269,7 +269,7 @@ def check_shift_family(depth, grid=_SHIFT_GRID):
     gm = bfs(highest_minf(), depth, "minf")
     for key in gm.nodes:
         elem = gm.element(key)
-        for params in grid:
+        for params in _SHIFT_GRID:
             moved = shift_params(elem, *params)
             moved_mono = moved.to_monomial()
             report.tick()
@@ -296,4 +296,5 @@ SUITES = {
     "iso": check_iso,
     "census": check_census,
     "lemma-equivalence": check_lemma_equivalence,
+    "shift": check_shift_family,
 }

@@ -176,6 +176,23 @@ def test_convert_shifted_minf_keeps_parameters(capsys, monkeypatch):
     ]
 
 
+def test_convert_shifted_monomial_keeps_parameters(capsys, monkeypatch):
+    elem = {"p1": 2, "r": 3, "b2": 1, "b3low": 2}
+    code, mono, err = run(
+        capsys, monkeypatch, ["convert", "--from", "minf", "--to", "monomial"],
+        stdin=json.dumps(elem),
+    )
+    assert code == 0 and err == ""
+    code, out, err = run(
+        capsys, monkeypatch, ["convert", "--from", "monomial", "--to", "minf"], stdin=mono
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out) == {
+        "b2": 1, "b3": 0, "b0": 0, "b3bar": 0, "b2bar": 0, "b1bar": 0,
+        "b3low": 2, "p1": 2, "p2": 1, "r": 3,
+    }
+
+
 def test_count_bound_is_inclusive(capsys, monkeypatch):
     code, out, err = run(
         capsys, monkeypatch,
@@ -194,7 +211,9 @@ def test_convert_rejects_bad_json(capsys, monkeypatch):
     assert code == 2 and "invalid element JSON" in err
 
 
-@pytest.mark.parametrize("suite", ["closure", "involution", "iso", "census", "lemma-equivalence"])
+@pytest.mark.parametrize(
+    "suite", ["closure", "involution", "iso", "census", "lemma-equivalence", "shift"]
+)
 def test_verify_suites_pass(capsys, monkeypatch, suite):
     code, out, _err = run(capsys, monkeypatch, ["verify", suite, "--depth", "4"])
     assert code == 0

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -255,3 +257,79 @@ def test_membership_agrees_with_inverse(params):
         mono = elem.to_monomial()
         assert _membership_agrees(mono, params) == elem
         assert _membership_agrees(mono * nudge, params) is None
+
+
+# The branch-per-tag operators the step table replaced, kept as the reference.
+def _reference_f(self, i):
+    sig = self.signature(i)
+    zero_tags = [tag for sym, tag in sig if sym == 0]
+    tag = zero_tags[0] if zero_tags else None
+    if i == 1:
+        if tag is None:
+            return replace(self, b2=self.b2 + 1)
+        if tag == "2b":
+            return replace(self, b2bar=self.b2bar - 1, b1bar=self.b1bar + 1)
+        if tag == "0":
+            return replace(self, b0=self.b0 - 1, b3bar=self.b3bar + 1)
+        if self.b0 != 0:
+            raise RuntimeError(
+                "a surviving 0 at X_3 forces b0 = 0: the X_0 zero sits further left"
+            )
+        return replace(self, b3=self.b3 - 1, b0=self.b0 + 1)
+    if tag is None:
+        return replace(self, b3low=self.b3low + 1)
+    if tag == "3b":
+        return replace(self, b3bar=self.b3bar - 1, b2bar=self.b2bar + 1)
+    return replace(self, b2=self.b2 - 1, b3=self.b3 + 1)
+
+
+def _reference_e(self, i):
+    sig = self.signature(i)
+    one_tags = [tag for sym, tag in sig if sym == 1]
+    if not one_tags:
+        return None
+    tag = one_tags[-1]
+    if i == 1:
+        if tag == "1b":
+            return replace(self, b1bar=self.b1bar - 1, b2bar=self.b2bar + 1)
+        if tag == "3b":
+            if self.b0 != 0:
+                raise RuntimeError(
+                    "a surviving 1 at X_3b forces b0 = 0: the X_0 one would outlive it"
+                )
+            return replace(self, b3bar=self.b3bar - 1, b0=self.b0 + 1)
+        if tag == "0":
+            if self.b0 != 1:
+                raise RuntimeError("a surviving 1 at X_0 forces b0 = 1")
+            return replace(self, b0=self.b0 - 1, b3=self.b3 + 1)
+        return replace(self, b2=self.b2 - 1)
+    if tag == "2b":
+        return replace(self, b2bar=self.b2bar - 1, b3bar=self.b3bar + 1)
+    if tag == "3":
+        return replace(self, b3=self.b3 - 1, b2=self.b2 + 1)
+    return replace(self, b3low=self.b3low - 1)
+
+
+@pytest.mark.parametrize("params", [(1, 1, 0), (2, 3, -2), (3, 1, 3)])
+def test_step_table_matches_branch_reference(params):
+    """Every count vector with b0 in {0, 1} and the other counts in 0..3."""
+    p1, p2, r = params
+    for b0 in (0, 1):
+        for b2, b3, b3bar, b2bar, b1bar, b3low in itertools.product(range(4), repeat=6):
+            elem = MinfElement(b2, b3, b0, b3bar, b2bar, b1bar, b3low, p1, p2, r)
+            for i in INDEX_SET:
+                assert elem.f(i) == _reference_f(elem, i), (elem, i)
+                assert elem.e(i) == _reference_e(elem, i), (elem, i)
+
+
+@pytest.mark.parametrize(
+    "elem, source, target",
+    [
+        (MinfElement(b3=1, b0=1), "3", "0"),  # f_1 at X_3 with b0 = 1
+        (MinfElement(b3bar=1, b0=1), "3b", "0"),  # e_1 at X_3b with b0 = 1
+        (MinfElement(b3bar=1), "0", "3"),  # e_1 at X_0 with b0 = 0
+    ],
+)
+def test_move_out_of_domain_rejected(elem, source, target):
+    with pytest.raises(ValueError):
+        elem._move(source, target)
