@@ -23,9 +23,11 @@ Elements of M(infinity) and marginally large tableaux are both stored as
 the seven counts ``(b2, b3, b0, b3bar, b2bar, b1bar, b3low)``: nonnegative
 integers with ``b0 <= 1``.  :class:`CountVector` holds that storage, its
 validation and its JSON reader (which bounds each count by
-:data:`MAX_JSON_COUNT`); :func:`reduce_signature` is the (0,1)
-cancellation that every signature rule ends with.  The rules that build the
-signature words and act on them stay with each realization.
+:data:`MAX_JSON_COUNT`, an input guard); :func:`reduce_signature` is the
+(0,1) cancellation that every signature rule ends with.  It works on runs of
+equal symbols, so a signature rule costs the same at any count.  The rules
+that build the run-length signature words and act on them stay with each
+realization.
 
 Crystal element contract
 ------------------------
@@ -131,19 +133,30 @@ def read_json_ints(obj, defaults):
     return values
 
 
-def reduce_signature(word):
-    """Cancel (0,1) adjacencies in a word of ``(symbol, tag)`` pairs until it
-    reads ones followed by zeros; survivors keep their tags."""
+def reduce_signature(runs):
+    """Cancel (0,1) adjacencies in a word of runs ``(symbol, tag, mult)`` until
+    it reads ones followed by zeros, ``min(mult)`` symbols at a time.
+
+    Runs with ``mult`` 0 are skipped.  A surviving run keeps its tag and the
+    number of its symbols left: a zeros run keeps its first ``mult`` symbols,
+    a ones run its last ``mult``, since each 1 cancels the nearest 0 to its
+    left.  The cost is linear in the number of runs, whatever their lengths.
+    """
     reduced = []
-    for sym in word:
-        if sym[0] == 1 and reduced and reduced[-1][0] == 0:
-            reduced.pop()
-        else:
-            reduced.append(sym)
+    for sym, tag, mult in runs:
+        while sym == 1 and mult and reduced and reduced[-1][0] == 0:
+            _zero, zero_tag, zeros = reduced.pop()
+            cancelled = min(mult, zeros)
+            mult -= cancelled
+            if zeros > cancelled:
+                reduced.append((0, zero_tag, zeros - cancelled))
+        if mult:
+            reduced.append((sym, tag, mult))
     return reduced
 
 
-# Largest count accepted from element JSON; direct construction is unbounded.
+# Largest count accepted from element JSON, kept as an input guard; direct
+# construction is unbounded.
 MAX_JSON_COUNT = 100_000
 
 
@@ -171,8 +184,7 @@ class CountVector:
 
     @classmethod
     def from_json(cls, obj):
-        """Read counts strictly and bound them by :data:`MAX_JSON_COUNT`:
-        the signature rules build words as long as the counts."""
+        """Read counts strictly and bound them by :data:`MAX_JSON_COUNT`."""
         values = read_json_ints(obj, {f.name: f.default for f in fields(cls)})
         for name in COUNT_FIELDS:
             if values[name] > MAX_JSON_COUNT:

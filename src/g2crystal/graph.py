@@ -122,25 +122,18 @@ def weight_census(graph):
 
 def kostant_partitions(a, b):
     """The number of ways to write ``a*alpha_1 + b*alpha_2`` as a sum of
-    positive roots of G2, by direct enumeration (the weight multiplicity of
-    the infinity crystal at that depth)."""
+    positive roots of G2 (the weight multiplicity of the infinity crystal at
+    that depth): the coefficient of ``x^a y^b`` in the product of
+    ``1 / (1 - x^p y^q)`` over the positive roots ``(p, q)``, from one table."""
     if a < 0 or b < 0:
         raise ValueError("root coordinates must be nonnegative")
-
-    def count(idx, x, y):
-        if x == 0 and y == 0:
-            return 1
-        if idx == len(POSITIVE_ROOTS):
-            return 0
-        ra, rb = POSITIVE_ROOTS[idx]
-        total = 0
-        n = 0
-        while n * ra <= x and n * rb <= y:
-            total += count(idx + 1, x - n * ra, y - n * rb)
-            n += 1
-        return total
-
-    return count(0, a, b)
+    table = [[0] * (b + 1) for _ in range(a + 1)]
+    table[0][0] = 1
+    for p, q in POSITIVE_ROOTS:
+        for x in range(p, a + 1):
+            for y in range(q, b + 1):
+                table[x][y] += table[x - p][y - q]
+    return table[a][b]
 
 
 def _node_ids(keys):

@@ -23,10 +23,13 @@ Y-monomial, which stays the independent oracle.
 Kashiwara operators are evaluated by the signature rule: write a word of
 1s and 0s under an ordered list of components, cancel (0,1) adjacencies,
 and read the component owning the leftmost surviving 0 (for the lowering
-operator) or the rightmost surviving 1 (for the raising operator).  Each
-case moves one unit between two counts, a step of the fundamental chain
-1 -1-> 2 -2-> 3 -1-> 0 -1-> 3b -2-> 2b -1-> 1b; ``f_i`` takes its step from
-one table and ``e_i`` from the inverted table, so ``e_i`` undoes ``f_i``.
+operator) or the rightmost surviving 1 (for the raising operator).  The
+word is held as at most seven runs of equal symbols, one per component and
+symbol, and the cancellation acts on runs, so the cost does not grow with
+the counts.  Each case moves one unit between two counts, a step of the
+fundamental chain 1 -1-> 2 -2-> 3 -1-> 0 -1-> 3b -2-> 2b -1-> 1b; ``f_i``
+takes its step from one table and ``e_i`` from the inverted table, so
+``e_i`` undoes ``f_i``.
 Each step is multiplication by an explicit ``A_i(m)^{+-1}``, so the rule
 agrees with the generic monomial operators; the verification suites check
 that equivalence exhaustively.
@@ -125,48 +128,56 @@ class MinfElement(CountVector):
         )
 
     def eps(self, i):
-        return sum(1 for sym, _tag in self.signature(i) if sym == 1)
+        return sum(n for sym, _tag, n in self._reduced(i) if sym == 1)
 
     def phi(self, i):
         return self.eps(i) + pairing(i, self.wt())
 
     # -- signature-rule operators ------------------------------------------
 
-    def signature(self, i):
-        """Reduced i-signature with the source component of each survivor.
+    def signature_word(self, i):
+        """The i-signature word as runs ``(symbol, component, mult)``.
 
-        The raw word is emitted over the component order X_1b X_2b X_3b X_0
-        X_3 X_2 for i = 1 (ones under X_1b, X_3b twice per unit, X_0, X_2;
-        zeros under X_2b, X_0, X_3 twice per unit) and X_2b X_3b X_3 X_2
-        X_3low for i = 2; (0,1) adjacencies then cancel until the word is
-        ones followed by zeros.
+        It is emitted over the component order X_1b X_2b X_3b X_0 X_3 X_2 for
+        i = 1 (ones under X_1b, X_3b twice per unit, X_0, X_2; zeros under
+        X_2b, X_0, X_3 twice per unit) and X_2b X_3b X_3 X_2 X_3low for i = 2.
         """
-        word = []
         if i == 1:
-            word += [(1, "1b")] * self.b1bar
-            word += [(0, "2b")] * self.b2bar
-            word += [(1, "3b")] * (2 * self.b3bar)
-            word += [(1, "0")] * self.b0 + [(0, "0")] * self.b0
-            word += [(0, "3")] * (2 * self.b3)
-            word += [(1, "2")] * self.b2
-        elif i == 2:
-            word += [(1, "2b")] * self.b2bar
-            word += [(0, "3b")] * self.b3bar
-            word += [(1, "3")] * self.b3
-            word += [(0, "2")] * self.b2
-            word += [(1, "3low")] * self.b3low
-        else:
-            raise ValueError(f"index must be 1 or 2, got {i}")
-        return reduce_signature(word)
+            return (
+                (1, "1b", self.b1bar),
+                (0, "2b", self.b2bar),
+                (1, "3b", 2 * self.b3bar),
+                (1, "0", self.b0),
+                (0, "0", self.b0),
+                (0, "3", 2 * self.b3),
+                (1, "2", self.b2),
+            )
+        if i == 2:
+            return (
+                (1, "2b", self.b2bar),
+                (0, "3b", self.b3bar),
+                (1, "3", self.b3),
+                (0, "2", self.b2),
+                (1, "3low", self.b3low),
+            )
+        raise ValueError(f"index must be 1 or 2, got {i}")
+
+    def _reduced(self, i):
+        return reduce_signature(self.signature_word(i))
+
+    def signature(self, i):
+        """Reduced i-signature, one ``(symbol, component)`` pair per
+        surviving symbol: the expansion of the reduced runs."""
+        return [(sym, tag) for sym, tag, n in self._reduced(i) for _ in range(n)]
 
     def f(self, i):
         """Lowering operator; total on the family (never the crystal zero)."""
-        source = next((tag for sym, tag in self.signature(i) if sym == 0), None)
+        source = next((tag for sym, tag, _n in self._reduced(i) if sym == 0), None)
         return self._move(source, _F_STEP[i][source])
 
     def e(self, i):
         """Raising operator; ``None`` when no 1 survives in the signature."""
-        ones = [tag for sym, tag in self.signature(i) if sym == 1]
+        ones = [tag for sym, tag, _n in self._reduced(i) if sym == 1]
         if not ones:
             return None
         return self._move(ones[-1], _E_STEP[i][ones[-1]])

@@ -14,10 +14,13 @@ A marginally large tableau has two rows: row 2 is a single 2 followed by
 of row 2.  Such tableaux are summarized by the count vector
 ``(b2, b3, b0, b3bar, b2bar, b1bar, b3low)``: counts of the letters above 1
 in row 1, then the number of 3s in row 2.  The counts are a complete
-invariant, but the operators work on the materialized grid through the
-literal steps: far-eastern reading, signature word with (0,1) cancellation,
-box replacement, and column insertion or removal to restore marginal
-largeness.
+invariant.  The operators follow the literal steps: far-eastern reading,
+signature word with (0,1) cancellation, box replacement, and column
+insertion or removal to restore marginal largeness.  They act on runs of the
+reading, not on a materialised grid: the reading is at most nine units of
+equal boxes or columns, each unit's signature symbols form runs, and a
+surviving symbol's offset in its run gives its box.  So the cost does not
+grow with the counts.
 """
 
 from __future__ import annotations
@@ -34,6 +37,32 @@ EPS = {1: (0, 1, 0, 1, 2, 0, 1), 2: (0, 0, 1, 0, 0, 1, 0)}
 PHI = {1: (1, 0, 2, 1, 0, 1, 0), 2: (0, 1, 0, 0, 1, 0, 0)}
 F_STEP = {1: {L1: L2, L3: L0, L0: L3B, L2B: L1B}, 2: {L2: L3, L3B: L2B}}
 E_STEP = {i: {dst: src for src, dst in steps.items()} for i, steps in F_STEP.items()}
+
+# The units of the far-eastern reading, in reading order: the row-1 letters
+# right of row 2 (1b, 2b, 3b, 0, 3, 2, then the last 1), the columns of 1
+# over 3, and the column of 1 over 2.  Each unit lists its boxes top to
+# bottom as ``(row, letter)`` cells.
+_UNITS = tuple(((0, x),) for x in (L1B, L2B, L3B, L0, L3, L2, L1)) + (
+    ((0, L1), (1, L3)),
+    ((0, L1), (1, L2)),
+)
+
+
+def _segments(i, cells):
+    """One unit's i-signature (eps_i ones then phi_i zeros per box) split
+    into maximal runs of one symbol, as ``(symbol, cells)`` pairs with one
+    cell per symbol."""
+    out = []
+    for cell in cells:
+        for sym in (1,) * EPS[i][cell[1]] + (0,) * PHI[i][cell[1]]:
+            if out and out[-1][0] == sym:
+                out[-1][1].append(cell)
+            else:
+                out.append((sym, [cell]))
+    return tuple((sym, tuple(run)) for sym, run in out)
+
+
+_SEGMENTS = {i: [_segments(i, cells) for cells in _UNITS] for i in EPS}
 
 
 @dataclass(frozen=True)
@@ -95,55 +124,92 @@ class MLTableau(CountVector):
                 out.append((row2[col], (1, col)))
         return out
 
+    def signature_word(self, i):
+        """The i-signature word of the far-eastern reading, as runs
+        ``(symbol, (cells, units, first column), mult)``.
+
+        A unit whose symbols all agree gives one run over all its columns;
+        the two units that emit both symbols (letter 0 and the column of 1
+        over 2 under i = 1) occur once.  Symbol ``k`` of a run lies in the
+        box ``cells[k % len(cells)]`` of column ``first - k // len(cells)``.
+        """
+        col = self.b3low + 1 + self.b2 + self.b3 + self.b0 + self.b3bar + self.b2bar + self.b1bar
+        sizes = (self.b1bar, self.b2bar, self.b3bar, self.b0, self.b3, self.b2, 1, self.b3low, 1)
+        runs = []
+        for pattern, units in zip(_SEGMENTS[i], sizes):
+            if len(pattern) == 1:
+                sym, cells = pattern[0]
+                runs.append((sym, (cells, units, col), units * len(cells)))
+            elif pattern:
+                for unit in range(units):
+                    runs += [(sym, (cells, 1, col - unit), len(cells)) for sym, cells in pattern]
+            col -= units
+        return runs
+
+    def _reduced(self, i):
+        return reduce_signature(self.signature_word(i))
+
     def signature(self, i):
         """Reduced i-signature: eps_i(x) ones then phi_i(x) zeros per box,
-        with (0,1) adjacencies cancelled; survivors keep their box position."""
-        word = []
-        for letter, pos in self.reading():
-            word += [(1, pos)] * EPS[i][letter]
-            word += [(0, pos)] * PHI[i][letter]
-        return reduce_signature(word)
+        with (0,1) adjacencies cancelled; one ``(symbol, (row, col))`` pair
+        per survivor, expanded from the reduced runs."""
+        out = []
+        for sym, (cells, units, first), mult in self._reduced(i):
+            size = len(cells)
+            start = 0 if sym == 0 else units * size - mult
+            for k in range(start, start + mult):
+                out.append((sym, (cells[k % size][0], first - k // size)))
+        return out
 
     # -- Kashiwara operators --------------------------------------------------
 
     def f(self, i):
         """Lower the box at the leftmost surviving 0, inserting a fresh
         ``i``-row column when the result would not be large."""
-        sig = self.signature(i)
-        zeros = [pos for sym, pos in sig if sym == 0]
-        if not zeros:
+        tag = next((tag for sym, tag, _m in self._reduced(i) if sym == 0), None)
+        if tag is None:
             raise RuntimeError("the lowering operator is total on marginally large tableaux")
-        row, col = zeros[0]
-        grid = [list(r) for r in self.rows()]
-        letter = grid[row][col]
-        grid[row][col] = F_STEP[i][letter]
-        if not _is_large(grid):
-            for rr in range(i):
-                grid[rr].insert(col, rr)  # letter of row rr+1 is rr (L1 or L2)
-        return MLTableau.from_rows(grid[0], grid[1])
+        cells, _units, col = tag
+        row, letter = cells[0]
+        return self._replace_box(row, col, letter, F_STEP[i][letter])
 
     def e(self, i):
         """Raise the box at the rightmost surviving 1, removing its column
         when the result is large but not marginally large; ``None`` when no
         1 survives."""
-        sig = self.signature(i)
-        ones = [pos for sym, pos in sig if sym == 1]
+        ones = [tag for sym, tag, _m in self._reduced(i) if sym == 1]
         if not ones:
             return None
-        row, col = ones[-1]
-        grid = [list(r) for r in self.rows()]
-        letter = grid[row][col]
-        grid[row][col] = E_STEP[i][letter]
-        if not _is_marginally_large(grid):
-            if not _is_large(grid):
-                raise RuntimeError("a raised tableau must stay large")
-            removed = [grid[rr][col] for rr in range(2) if col < len(grid[rr])]
-            if removed != [L1] and removed != [L1, L2]:
-                raise RuntimeError(f"removed column {removed} is not an i-row column")
-            for rr in range(2):
-                if col < len(grid[rr]):
-                    del grid[rr][col]
-        return MLTableau.from_rows(grid[0], grid[1])
+        cells, units, first = ones[-1]
+        row, letter = cells[-1]
+        return self._replace_box(row, first - units + 1, letter, E_STEP[i][letter])
+
+    def _replace_box(self, row, col, letter, new):
+        """Write ``new`` into the box ``(row, col)`` holding ``letter``, then
+        insert or remove the column that restores marginal largeness, all on
+        the counts.  Three cases occur:
+
+        * a row-1 letter other than 1 moves one letter along, and the tableau
+          stays marginally large;
+        * the last 1 of row 1 becomes a 2, and a column 1 is inserted, or the
+          first 2 of row 1 becomes a 1, and its column is removed: b2 +- 1;
+        * row 2's 2 becomes a 3, and a column 1 over 2 is inserted, or the 3
+          in column 1 becomes a 2, and its column is removed: b3low +- 1.
+        """
+        n = list(self.counts())
+        if row == 0 and L1 not in (letter, new):
+            n[letter - 1] -= 1
+            n[new - 1] += 1
+        elif row == 0 and (letter, new, col) in ((L1, L2, self.b3low + 1), (L2, L1, self.b3low + 2)):
+            n[L2 - 1] += 1 if new == L2 else -1
+        elif row == 1 and (letter, new, col) in ((L2, L3, 0), (L3, L2, 1)):
+            n[6] += 1 if new == L3 else -1
+        else:
+            raise ValueError(
+                f"writing {LETTER_NAMES[new]} over {LETTER_NAMES[letter]} at box {(row, col)} "
+                f"leaves no marginally large tableau (counts {self.counts()})"
+            )
+        return MLTableau(*n)
 
     # -- structure maps --------------------------------------------------------
 
@@ -158,7 +224,7 @@ class MLTableau(CountVector):
         return roots_to_weight(-a, -b)
 
     def eps(self, i):
-        return sum(1 for sym, _pos in self.signature(i) if sym == 1)
+        return sum(m for sym, _tag, m in self._reduced(i) if sym == 1)
 
     def phi(self, i):
         return self.eps(i) + pairing(i, self.wt())
@@ -186,14 +252,3 @@ def highest_tableau():
     """The tableau with i-th row consisting only of i-boxes: rows 1 1 / 2."""
     return MLTableau()
 
-
-def _is_large(grid):
-    row1, row2 = grid
-    ones = sum(1 for x in row1 if x == L1)
-    return ones > len(row2) and any(x == L2 for x in row2)
-
-
-def _is_marginally_large(grid):
-    row1, row2 = grid
-    ones = sum(1 for x in row1 if x == L1)
-    return ones == len(row2) + 1 and sum(1 for x in row2 if x == L2) == 1

@@ -1,6 +1,10 @@
-"""Shared fixtures: the standard worked example and the known depth-2 slice."""
+"""Shared fixtures: the standard worked example, the known depth-2 slice, and
+the reference helpers of the signature-rule oracles."""
 
 from __future__ import annotations
+
+import itertools
+import random
 
 import pytest
 
@@ -43,6 +47,39 @@ DEPTH2_COUNTS = {
     (2, 1): (1, 0, 0, 0, 0, 0, 1),
     (2, 2): (0, 0, 0, 0, 0, 0, 2),
 }
+
+
+def letter_reduce(word):
+    """Letter-level (0,1) cancellation of a word of ``(symbol, tag)`` pairs,
+    the reference for the run-length :func:`g2crystal.cartan.reduce_signature`."""
+    reduced = []
+    for sym in word:
+        if sym[0] == 1 and reduced and reduced[-1][0] == 0:
+            reduced.pop()
+        else:
+            reduced.append(sym)
+    return reduced
+
+
+def outcome(call):
+    """The value of ``call()``, or the type of the exception it raises."""
+    try:
+        return call()
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+
+
+def oracle_vectors():
+    """Every count vector with b0 in {0, 1} and the other counts in 0..3, then
+    2,000 seeded vectors with counts up to 60."""
+    for b0 in (0, 1):
+        for b2, b3, b3bar, b2bar, b1bar, b3low in itertools.product(range(4), repeat=6):
+            yield (b2, b3, b0, b3bar, b2bar, b1bar, b3low)
+    rng = random.Random(37)
+    for _ in range(2000):
+        counts = [rng.randint(0, 60) for _ in range(7)]
+        counts[2] = rng.randint(0, 1)
+        yield tuple(counts)
 
 
 @pytest.fixture

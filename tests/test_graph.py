@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from g2crystal.cartan import POSITIVE_ROOTS
 from g2crystal.graph import (
     bfs,
     highest_element,
@@ -84,6 +85,34 @@ def test_kostant_partitions():
     assert kostant_partitions(3, 1) == 4
     with pytest.raises(ValueError):
         kostant_partitions(-1, 0)
+
+
+def _reference_kostant(a, b):
+    """The direct recursion over the positive roots that the table replaced."""
+
+    def count(idx, x, y):
+        if x == 0 and y == 0:
+            return 1
+        if idx == len(POSITIVE_ROOTS):
+            return 0
+        ra, rb = POSITIVE_ROOTS[idx]
+        total = 0
+        n = 0
+        while n * ra <= x and n * rb <= y:
+            total += count(idx + 1, x - n * ra, y - n * rb)
+            n += 1
+        return total
+
+    return count(0, a, b)
+
+
+def test_kostant_table_matches_recursion():
+    for a in range(21):
+        for b in range(21 - a):
+            assert kostant_partitions(a, b) == _reference_kostant(a, b), (a, b)
+    for a, b in ((-1, 3), (2, -1)):
+        with pytest.raises(ValueError):
+            kostant_partitions(a, b)
 
 
 def test_iso_check_identity_and_cross():

@@ -18,7 +18,14 @@ from g2crystal.minf import (
 from g2crystal.monomials import ExtMonomial, highest_monomial
 from g2crystal.verify import random_monomial
 
-from conftest import DEPTH2_COUNTS, DEPTH2_YFORMS, EXAMPLE_COUNTS
+from conftest import (
+    DEPTH2_COUNTS,
+    DEPTH2_YFORMS,
+    EXAMPLE_COUNTS,
+    letter_reduce,
+    oracle_vectors,
+    outcome,
+)
 
 
 def yform_oracle(b2, b3, b0, b3bar, b2bar, b1bar, b3low, p1=1, p2=1, r=0):
@@ -260,8 +267,8 @@ def test_membership_agrees_with_inverse(params):
 
 
 # The branch-per-tag operators the step table replaced, kept as the reference.
-def _reference_f(self, i):
-    sig = self.signature(i)
+def _reference_f(self, i, sig=None):
+    sig = self.signature(i) if sig is None else sig
     zero_tags = [tag for sym, tag in sig if sym == 0]
     tag = zero_tags[0] if zero_tags else None
     if i == 1:
@@ -283,8 +290,8 @@ def _reference_f(self, i):
     return replace(self, b2=self.b2 - 1, b3=self.b3 + 1)
 
 
-def _reference_e(self, i):
-    sig = self.signature(i)
+def _reference_e(self, i, sig=None):
+    sig = self.signature(i) if sig is None else sig
     one_tags = [tag for sym, tag in sig if sym == 1]
     if not one_tags:
         return None
@@ -333,3 +340,37 @@ def test_step_table_matches_branch_reference(params):
 def test_move_out_of_domain_rejected(elem, source, target):
     with pytest.raises(ValueError):
         elem._move(source, target)
+
+
+# The letter-level signature word the run-length word replaced, kept as the
+# reference.
+def _reference_signature(self, i):
+    word = []
+    if i == 1:
+        word += [(1, "1b")] * self.b1bar
+        word += [(0, "2b")] * self.b2bar
+        word += [(1, "3b")] * (2 * self.b3bar)
+        word += [(1, "0")] * self.b0 + [(0, "0")] * self.b0
+        word += [(0, "3")] * (2 * self.b3)
+        word += [(1, "2")] * self.b2
+    else:
+        word += [(1, "2b")] * self.b2bar
+        word += [(0, "3b")] * self.b3bar
+        word += [(1, "3")] * self.b3
+        word += [(0, "2")] * self.b2
+        word += [(1, "3low")] * self.b3low
+    return letter_reduce(word)
+
+
+def test_run_word_matches_letter_reference():
+    for counts in oracle_vectors():
+        elem = MinfElement(*counts)
+        for i in INDEX_SET:
+            sig = _reference_signature(elem, i)
+            assert elem.signature(i) == sig, (counts, i)
+            eps = sum(1 for sym, _tag in sig if sym == 1)
+            assert elem.eps(i) == eps, (counts, i)
+            assert elem.phi(i) == eps + elem.wt()[i - 1], (counts, i)
+            assert outcome(lambda: elem.f(i)) == outcome(lambda: _reference_f(elem, i, sig))
+            assert outcome(lambda: elem.e(i)) == outcome(lambda: _reference_e(elem, i, sig))
+        assert len(elem.signature_word(1)) == 7 and len(elem.signature_word(2)) == 5

@@ -1,5 +1,6 @@
 """Property tests: conversion round trips over every pair of realizations,
-and arbitrary JSON at the CLI boundary.
+the inverse laws of the operators along long words, and arbitrary JSON at
+the CLI boundary.
 
 Examples are derandomized with a fixed budget, so the suite is
 deterministic and short.
@@ -53,12 +54,35 @@ def test_convert_round_trip_preserves_structure(source, target, word):
     assert structure(image) == structure(elem)
 
 
-# Small integers keep every count small enough for the tableau grid; the
-# keys mix every known element key with arbitrary short text.
+@pytest.mark.parametrize("realization", NAMES)
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(word=st.lists(st.sampled_from(OPS), max_size=50))
+def test_operators_invert_each_other_along_words(realization, word):
+    """``e_i f_i = id`` everywhere and ``f_i e_i = id`` wherever ``e_i`` is
+    defined, at every element of a walk of up to 50 operators."""
+    walk = [highest_element(realization)]
+    for token in word:
+        moved = getattr(walk[-1], token[0])(int(token[1]))
+        walk.append(walk[-1] if moved is None else moved)
+    for elem in walk:
+        for i in INDEX_SET:
+            assert elem.f(i).e(i) == elem
+            up = elem.e(i)
+            assert up is None or up.f(i) == elem
+
+
+# Small integers, plus integers around the element-JSON count bound
+# (100,000 is accepted, 100,001 is not); the keys mix every known element
+# key with arbitrary short text.
 KEYS = sorted({"b2", "b3", "b0", "b3bar", "b2bar", "b1bar", "b3low", "p1", "p2", "r",
                "k12bar", "k13bar", "k13", "k12", "k11", "k22", "i", "m", "u", "v"})
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 20) | st.floats() | st.text(max_size=3),
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 20)
+    | st.integers(99_990, 100_001)
+    | st.floats()
+    | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=3), inner, max_size=5),
     max_leaves=12,

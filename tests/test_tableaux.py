@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from g2crystal.cartan import INDEX_SET, simple_root, weight_sub
+from g2crystal.cartan import INDEX_SET, reduce_signature, simple_root, weight_sub
+from g2crystal.isomorphisms import convert
 from g2crystal.tableaux import (
     EPS,
     E_STEP,
@@ -20,7 +21,15 @@ from g2crystal.tableaux import (
     highest_tableau,
 )
 
-from conftest import DEPTH2_COUNTS, EXAMPLE_COUNTS, EXAMPLE_ROW1, EXAMPLE_ROW2
+from conftest import (
+    DEPTH2_COUNTS,
+    EXAMPLE_COUNTS,
+    EXAMPLE_ROW1,
+    EXAMPLE_ROW2,
+    letter_reduce,
+    oracle_vectors,
+    outcome,
+)
 
 
 def _letters(names):
@@ -183,3 +192,99 @@ def test_rendering_and_json():
     assert example.text() == "1 1 1 1 2 0 3b 3b 1b / 2 3 3"
     assert example.pretty() == "[1][1][1][1][2][0][3b][3b][1b]\n[2][3][3]"
     assert MLTableau.from_json(example.to_json()) == example
+
+
+# The grid operators the run-length rule replaced, kept as the reference:
+# the letter-level reading, box replacement on a list grid, and column
+# insertion or removal checked by the largeness predicates.
+def _reference_signature(elem, i):
+    word = []
+    for letter, pos in elem.reading():
+        word += [(1, pos)] * EPS[i][letter]
+        word += [(0, pos)] * PHI[i][letter]
+    return letter_reduce(word)
+
+
+def _is_large(grid):
+    row1, row2 = grid
+    ones = sum(1 for x in row1 if x == L1)
+    return ones > len(row2) and any(x == L2 for x in row2)
+
+
+def _is_marginally_large(grid):
+    row1, row2 = grid
+    ones = sum(1 for x in row1 if x == L1)
+    return ones == len(row2) + 1 and sum(1 for x in row2 if x == L2) == 1
+
+
+def _reference_f(elem, i, sig):
+    zeros = [pos for sym, pos in sig if sym == 0]
+    if not zeros:
+        raise RuntimeError("the lowering operator is total on marginally large tableaux")
+    row, col = zeros[0]
+    grid = [list(r) for r in elem.rows()]
+    letter = grid[row][col]
+    grid[row][col] = F_STEP[i][letter]
+    if not _is_large(grid):
+        for rr in range(i):
+            grid[rr].insert(col, rr)  # letter of row rr+1 is rr (L1 or L2)
+    return MLTableau.from_rows(grid[0], grid[1])
+
+
+def _reference_e(elem, i, sig):
+    ones = [pos for sym, pos in sig if sym == 1]
+    if not ones:
+        return None
+    row, col = ones[-1]
+    grid = [list(r) for r in elem.rows()]
+    letter = grid[row][col]
+    grid[row][col] = E_STEP[i][letter]
+    if not _is_marginally_large(grid):
+        if not _is_large(grid):
+            raise RuntimeError("a raised tableau must stay large")
+        removed = [grid[rr][col] for rr in range(2) if col < len(grid[rr])]
+        if removed != [L1] and removed != [L1, L2]:
+            raise RuntimeError(f"removed column {removed} is not an i-row column")
+        for rr in range(2):
+            if col < len(grid[rr]):
+                del grid[rr][col]
+    return MLTableau.from_rows(grid[0], grid[1])
+
+
+def test_run_rule_matches_grid_reference():
+    for counts in oracle_vectors():
+        elem = MLTableau(*counts)
+        for i in INDEX_SET:
+            sig = _reference_signature(elem, i)
+            assert elem.signature(i) == sig, (counts, i)
+            eps = sum(1 for sym, _pos in sig if sym == 1)
+            assert elem.eps(i) == eps, (counts, i)
+            assert elem.phi(i) == eps + elem.wt()[i - 1], (counts, i)
+            assert outcome(lambda: elem.f(i)) == outcome(lambda: _reference_f(elem, i, sig))
+            assert outcome(lambda: elem.e(i)) == outcome(lambda: _reference_e(elem, i, sig))
+
+
+def test_box_outside_the_three_cases_rejected():
+    top = highest_tableau()
+    with pytest.raises(ValueError):
+        top._replace_box(0, 0, L1, L2)  # the 1 over row 2's 2 cannot become a 2
+    with pytest.raises(ValueError):
+        top._replace_box(1, 0, L2, L1)  # row 2's 2 cannot become a 1
+    with pytest.raises(ValueError):
+        MLTableau(b3=1, b0=1)._replace_box(0, 3, L3, L0)  # a second 0 box
+
+
+def test_operator_cost_does_not_grow_with_the_counts():
+    """With b0 = 1 and every other count 10**9 the reduced words stay a few
+    runs, and the operators agree with M(infinity) through ``convert``."""
+    big = 10**9
+    tab = MLTableau(big, big, 1, big, big, big, big)
+    image = convert(tab, "tableaux", "minf")
+    for i in INDEX_SET:
+        for elem in (tab, image):
+            assert len(reduce_signature(elem.signature_word(i))) <= 9
+        assert tab.eps(i) == image.eps(i) > 0
+        assert tab.phi(i) == image.phi(i)
+        assert convert(tab.f(i), "tableaux", "minf") == image.f(i)
+        assert convert(tab.e(i), "tableaux", "minf") == image.e(i)
+        assert tab.f(i).e(i) == tab and tab.e(i).f(i) == tab
