@@ -74,10 +74,6 @@ def pair_neg(p):
     return (-p[0], -p[1])
 
 
-def pair_scale(p, c):
-    return (c * p[0], c * p[1])
-
-
 def weight_sub(w, x):
     return (w[0] - x[0], w[1] - x[1])
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .cartan import PAIR_ZERO, pair_add, pair_scale, pairing, read_json_ints, simple_root
+from .cartan import PAIR_ZERO, pair_add, pairing, read_json_ints, simple_root
 
 # Field name and factor index for each tensor slot, in tensor order.
 _SLOTS = (("k12bar", 1), ("k13bar", 2), ("k13", 1), ("k12", 2), ("k11", 1), ("k22", 2))
@@ -43,7 +43,8 @@ class ElementaryElement:
     k: int = 0
 
     def wt(self):
-        return pair_scale(simple_root(self.index), self.k)
+        a1, a2 = simple_root(self.index)
+        return (self.k * a1, self.k * a2)
 
     def eps(self, i):
         return -self.k if i == self.index else None

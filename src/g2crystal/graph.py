@@ -7,12 +7,14 @@ order, so enumeration and both export formats are deterministic
 byte-for-byte.  Every lowering edge drops the weight by one simple root,
 hence a node's depth equals the height ``a + b`` of ``-(a*alpha_1 +
 b*alpha_2)``; the census and the Kostant partition oracle exploit that.
+JSON export fills fixed templates, strings escaped by the C encoder; the
+contract is byte-identity with the stdlib encoder at ``indent=2``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 from .cartan import INDEX_SET, POSITIVE_ROOTS, weight_to_roots
 from .cliff import CliffElement, highest_cliff
@@ -155,33 +157,51 @@ def to_dot(graph):
     return "\n".join(lines) + "\n"
 
 
+def _json_value(value, pad):
+    """``value`` as the stdlib encoder prints it at ``indent=2``, nested at
+    ``pad``: ints, strs, lists and str-keyed dicts only; bool, None, floats
+    and anything else raise :class:`TypeError` rather than being guessed at."""
+    if type(value) is int:
+        return str(value)
+    if isinstance(value, str):
+        return _quote(value)
+    inner = pad + "  "
+    if isinstance(value, list):
+        items = [inner + _json_value(v, inner) for v in value]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
+    if isinstance(value, dict):
+        items = [
+            f"{inner}{_quote(k)}: {v if type(v) is int else _json_value(v, inner)}"
+            for k, v in value.items()
+        ]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
+    raise TypeError(f"not an element JSON value: {value!r}")
+
+
 def to_json(graph):
     keys = graph.sorted_keys()
     ids = _node_ids(keys)
     nodes = []
     for key in keys:
         elem, depth = graph.nodes[key]
+        w1, w2 = elem.wt()
         nodes.append(
-            {
-                "id": ids[key],
-                "depth": depth,
-                "weight": list(elem.wt()),
-                "label": elem.text(),
-                "element": elem.to_json(),
-            }
+            f'    {{\n      "id": "{ids[key]}",\n      "depth": {depth},\n'
+            f'      "weight": [\n        {w1},\n        {w2}\n      ],\n'
+            f'      "label": {_quote(elem.text())},\n'
+            f'      "element": {_json_value(elem.to_json(), "      ")}\n    }}'
         )
     edges = [
-        {"source": ids[src], "i": i, "target": ids[dst]}
+        f'    {{\n      "source": "{ids[src]}",\n      "i": {i},\n'
+        f'      "target": "{ids[dst]}"\n    }}'
         for src, i, dst in sorted(graph.edges, key=lambda e: (ids[e[0]], e[1]))
     ]
-    payload = {
-        "realization": graph.realization,
-        "depth": graph.depth,
-        "root": ids[graph.root],
-        "nodes": nodes,
-        "edges": edges,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    edge_text = "[\n" + ",\n".join(edges) + "\n  ]" if edges else "[]"
+    return (
+        f'{{\n  "realization": {_quote(graph.realization)},\n  "depth": {graph.depth},\n'
+        f'  "root": "{ids[graph.root]}",\n  "nodes": [\n' + ",\n".join(nodes) + "\n  ],\n"
+        f'  "edges": {edge_text}\n}}\n'
+    )
 
 
 # Realization registry used by the CLI and the verification suites.

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import g2crystal.cli
 from g2crystal.cli import main
 
 from conftest import EXAMPLE_EXPONENTS, EXAMPLE_KS
@@ -41,6 +42,24 @@ def test_graph_json_to_file(tmp_path, capsys, monkeypatch):
     assert code == 0 and out == ""
     payload = json.loads(target.read_text(encoding="utf-8"))
     assert len(payload["nodes"]) == 1 and payload["edges"] == []
+
+
+def test_graph_exports_through_one_library_call(capsys, monkeypatch):
+    """``graph`` writes exactly what one call of ``to_json`` or ``to_dot``
+    returns; ``bench/tracer.py`` times export as the spans of those calls."""
+    calls, returned = {"to_json": 0, "to_dot": 0}, []
+    for name in calls:
+        def counted(graph, _export=getattr(g2crystal.cli, name), _name=name):
+            calls[_name] += 1
+            returned.append(_export(graph))
+            return returned[-1]
+
+        monkeypatch.setattr(g2crystal.cli, name, counted)
+    argv = ["graph", "--realization", "cliff", "--depth", "3", "--format"]
+    code, out, _err = run(capsys, monkeypatch, argv + ["json"])
+    assert code == 0 and calls == {"to_json": 1, "to_dot": 0} and out == returned[-1]
+    code, out, _err = run(capsys, monkeypatch, argv + ["dot"])
+    assert code == 0 and calls == {"to_json": 1, "to_dot": 1} and out == returned[-1]
 
 
 def test_graph_rejects_unknown_realization(capsys, monkeypatch):

@@ -11,6 +11,7 @@ import pytest
 
 from g2crystal.cartan import POSITIVE_ROOTS
 from g2crystal.graph import (
+    _json_value,
     bfs,
     highest_element,
     iso_check,
@@ -165,6 +166,65 @@ def test_golden_exports(name, realization, fmt):
     graph = bfs(highest_element(realization), 2, realization)
     text = to_dot(graph) if fmt == "dot" else to_json(graph)
     assert text == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def _reference_payload(graph):
+    """The payload the JSON export handed to the stdlib encoder before it was
+    written from templates (the export's reference)."""
+    keys = graph.sorted_keys()
+    ids = {key: f"n{pos}" for pos, key in enumerate(keys)}
+    nodes = []
+    for key in keys:
+        elem, depth = graph.nodes[key]
+        nodes.append(
+            {
+                "id": ids[key],
+                "depth": depth,
+                "weight": list(elem.wt()),
+                "label": elem.text(),
+                "element": elem.to_json(),
+            }
+        )
+    edges = [
+        {"source": ids[src], "i": i, "target": ids[dst]}
+        for src, i, dst in sorted(graph.edges, key=lambda e: (ids[e[0]], e[1]))
+    ]
+    return {
+        "realization": graph.realization,
+        "depth": graph.depth,
+        "root": ids[graph.root],
+        "nodes": nodes,
+        "edges": edges,
+    }
+
+
+@pytest.mark.parametrize("depth", [0, 1, 10])
+@pytest.mark.parametrize("realization", ["monomial", "minf", "tableaux", "cliff"])
+def test_json_export_is_the_stdlib_encoding(realization, depth):
+    graph = bfs(highest_element(realization), depth, realization)
+    text = to_json(graph)
+    assert text == json.dumps(_reference_payload(graph), indent=2) + "\n"
+    if depth == 0:
+        assert '"edges": []' in text
+    if realization == "cliff":
+        assert text.isascii() and "u\\u221e \\u2297 b1(0)" in text
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0, -7, 10**30, "", 'u\u221e "q" \\ \n', [], {}, [[], {}], [1, [2, 3]],
+     {"a": [1, {"b": []}], "\u2297": "c", "d": {}}],
+)
+def test_json_value_matches_stdlib_encoder(value):
+    assert _json_value(value, "") == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value", [True, None, 1.5, (1, 2), [1, False], {"b2": True}, {"b2": None}, {1: 2}]
+)
+def test_json_value_rejects_what_it_would_have_to_guess(value):
+    with pytest.raises(TypeError):
+        _json_value(value, "")
 
 
 def test_highest_element_rejects_unknown():
