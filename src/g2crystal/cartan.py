@@ -47,7 +47,6 @@ All of them are immutable values; everything here is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from fractions import Fraction
 
 INDEX_SET = (1, 2)
 
@@ -98,13 +97,8 @@ def weight_to_roots(w):
 
 
 def roots_to_weight(a, b):
-    """Inverse of :func:`weight_to_roots`; accepts rational coefficients."""
-    w1 = 2 * a - 3 * b
-    w2 = -a + 2 * b
-    if isinstance(w1, Fraction):
-        if w1.denominator == 1 and w2.denominator == 1:
-            return (int(w1), int(w2))
-    return (w1, w2)
+    """Inverse of :func:`weight_to_roots`."""
+    return (2 * a - 3 * b, -a + 2 * b)
 
 
 def read_json_ints(obj, defaults):

@@ -12,9 +12,9 @@ with the ordinary wt/phi_i/eps_i given by the second components.  The
 lowering operator divides by ``A_i(m_f)`` at the smallest prefix arg-max
 ``m_f``; the raising operator multiplies by ``A_i(m_e)`` at the largest.
 Prefix sums only change at support positions, so the arg-max scan makes one
-pass over the sorted support: the sum before position ``m`` holds on
-``[previous support position, m - 1]``, the empty sum holds at
-``min support - 1`` and the total at ``max support + 1``.
+pass over the canonical key, which is sorted by ``(i, m)``: the sum through
+position ``m`` holds on ``[m, next support position - 1]``, the empty sum
+holds at ``min support - 1`` and the total at ``max support + 1``.
 
 The crystal zero is represented by ``None``; it marks the absence of an
 edge, never an error.
@@ -44,8 +44,9 @@ class ExtMonomial:
     """An extended Nakajima monomial in canonical form.
 
     Exponents are stored as a map ``(i, m) -> (u, v)`` with all zero pairs
-    erased; equality, hashing and the sort key are taken on that canonical
-    form.  Instances are immutable; the operators return new monomials.
+    erased, and as the key: the sorted tuple of ``(i, m, u, v)``, which
+    equality, hashing, :meth:`key` and :meth:`scan` read.  Instances are
+    immutable; the operators return new monomials.
     """
 
     __slots__ = ("_exp", "_key")
@@ -55,12 +56,14 @@ class ExtMonomial:
         if exponents:
             for (i, m), pair in dict(exponents).items():
                 u, v = pair
-                if i not in INDEX_SET:
-                    raise ValueError(f"monomial index must be 1 or 2, got {i}")
-                if (u, v) != PAIR_ZERO:
-                    exp[(int(i), int(m))] = (int(u), int(v))
+                if type(i) is not int or i not in INDEX_SET:
+                    raise ValueError(f"monomial index must be 1 or 2, got {i!r}")
+                if type(m) is not int or type(u) is not int or type(v) is not int:
+                    raise ValueError(f"Y_{i}({m})^{pair}: position and exponents must be ints")
+                if u or v:
+                    exp[(i, m)] = (u, v)
         self._exp = exp
-        self._key = tuple(sorted((i, m, u, v) for (i, m), (u, v) in exp.items()))
+        self._key = tuple(sorted([(i, m, u, v) for (i, m), (u, v) in exp.items()]))
 
     @classmethod
     def _canonical(cls, exp):
@@ -69,12 +72,8 @@ class ExtMonomial:
         The map is owned by the new monomial afterwards."""
         mono = object.__new__(cls)
         mono._exp = exp
-        mono._key = tuple(sorted(pos + pair for pos, pair in exp.items()))
+        mono._key = tuple(sorted([(i, m, u, v) for (i, m), (u, v) in exp.items()]))
         return mono
-
-    @classmethod
-    def one(cls):
-        return cls()
 
     def exponent(self, i, m):
         return self._exp.get((i, m), PAIR_ZERO)
@@ -100,13 +99,14 @@ class ExtMonomial:
 
     def __mul__(self, other):
         exp = dict(self._exp)
-        for pos, pair in other._exp.items():
+        for pos, (u, v) in other._exp.items():
             if pos in exp:
-                pair = pair_add(exp[pos], pair)
-                if pair == PAIR_ZERO:
+                pu, pv = exp[pos]
+                u, v = u + pu, v + pv
+                if not u and not v:
                     del exp[pos]
                     continue
-            exp[pos] = pair
+            exp[pos] = (u, v)
         return ExtMonomial._canonical(exp)
 
     def inverse(self):
@@ -116,10 +116,13 @@ class ExtMonomial:
 
     def wt_pairs(self):
         """Extended weight: one exponent-pair coefficient per Lambda_i."""
-        totals = {i: PAIR_ZERO for i in INDEX_SET}
-        for (i, _m), pair in self._exp.items():
-            totals[i] = pair_add(totals[i], pair)
-        return (totals[1], totals[2])
+        u1 = v1 = u2 = v2 = 0
+        for i, _m, u, v in self._key:
+            if i == 1:
+                u1, v1 = u1 + u, v1 + v
+            else:
+                u2, v2 = u2 + u, v2 + v
+        return ((u1, v1), (u2, v2))
 
     def wt(self):
         """Ordinary weight: the second components of :meth:`wt_pairs`."""
@@ -133,21 +136,30 @@ class ExtMonomial:
         and ``m_e`` (largest); a position is ``None`` when the corresponding
         operator does not act, in which case the true arg-max set is
         unbounded on that side.
+
+        One pass over the canonical key (index-``i`` entries in increasing
+        ``m``).  While the total equals phi~ (``held``), the run of maxima
+        reaches the next support position minus 1.  A run still held at the
+        last position means eps~ = 0, so ``m_e`` is not read from it.
         """
-        support = sorted((m, pair) for (j, m), pair in self._exp.items() if j == i)
-        if not support:
+        tu = tv = pu = pv = 0  # running total and phi~, both the empty sum
+        first = last = None  # first and last position holding phi~
+        held = False
+        for j, m, u, v in self._key:
+            if j != i:
+                continue
+            if held:
+                last = m - 1
+            elif first is None:  # the empty sum holds at min support - 1
+                first = last = m - 1
+            tu, tv = tu + u, tv + v
+            if tu > pu or (tu == pu and tv > pv):
+                pu, pv, first, held = tu, tv, m, True
+            else:
+                held = tu == pu and tv == pv
+        if first is None:
             return ScanResult(PAIR_ZERO, PAIR_ZERO, None, None)
-        # the prefix sum through position m holds up to the next support position
-        run_ends = [m - 1 for m, _pair in support[1:]] + [support[-1][0] + 1]
-        total = phi_pair = PAIR_ZERO  # the empty sum, held at min support - 1 only
-        first = last = support[0][0] - 1  # first and last position holding phi_pair
-        for (m, pair), end in zip(support, run_ends):
-            total = pair_add(total, pair)
-            if total > phi_pair:
-                phi_pair, first, last = total, m, end
-            elif total == phi_pair:
-                last = end
-        eps_pair = pair_add(phi_pair, pair_neg(total))
+        phi_pair, eps_pair = (pu, pv), (pu - tu, pv - tv)
         m_f = first if phi_pair > PAIR_ZERO else None
         m_e = last if eps_pair > PAIR_ZERO else None
         return ScanResult(phi_pair, eps_pair, m_f, m_e)
@@ -207,9 +219,9 @@ def a_monomial(i, m, sign=1):
     A_1(m) = Y_1(m)^(0,1) Y_1(m+1)^(0,1) Y_2(m)^(0,-1)
     A_2(m) = Y_2(m)^(0,1) Y_2(m+1)^(0,1) Y_1(m+1)^(0,-3)
     """
-    if i not in INDEX_SET:
-        raise ValueError(f"index must be 1 or 2, got {i}")
-    i, m, s = int(i), int(m), (1 if sign > 0 else -1)
+    if type(i) is not int or i not in INDEX_SET or type(m) is not int:
+        raise ValueError(f"A_i(m) needs i in (1, 2) and an int m, got i={i!r}, m={m!r}")
+    s = 1 if sign > 0 else -1
     exp = {(i, m): (0, s), (i, m + 1): (0, s)}
     for j in INDEX_SET:
         if j != i:

@@ -237,13 +237,6 @@ class MLTableau(CountVector):
             LETTER_NAMES[x] for x in row2
         )
 
-    def pretty(self):
-        """Two-line rendering with bracketed boxes."""
-        row1, row2 = self.rows()
-        top = "".join(f"[{LETTER_NAMES[x]}]" for x in row1)
-        bottom = "".join(f"[{LETTER_NAMES[x]}]" for x in row2)
-        return top + "\n" + bottom
-
     def to_json(self):
         return dict(zip(COUNT_FIELDS, self.counts()))
 

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from g2crystal.cartan import (
     CARTAN,
@@ -50,13 +49,6 @@ def test_root_conversion_round_trip():
         assert weight_to_roots(roots_to_weight(a, b)) == (a, b)
         w = (rng.randint(-30, 30), rng.randint(-30, 30))
         assert roots_to_weight(*weight_to_roots(w)) == w
-
-
-def test_roots_to_weight_accepts_rationals():
-    w = roots_to_weight(Fraction(3), Fraction(1))
-    assert w == (3, -1) and all(isinstance(c, int) for c in w)
-    half = roots_to_weight(Fraction(1, 2), Fraction(0))
-    assert half == (Fraction(1), Fraction(-1, 2))
 
 
 def test_pair_order_is_total():

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -294,3 +297,16 @@ def test_apply_rejects_cliff_non_member(capsys, monkeypatch):
     )
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "not in the realization" in err
+
+
+def test_cli_import_stays_lean():
+    """Importing the CLI loads neither ``fractions`` nor ``decimal``."""
+    src = str(Path(g2crystal.cli.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import g2crystal.cli; "
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True, timeout=60
+    )
+    assert done.stdout.strip() == "[]"

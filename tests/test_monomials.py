@@ -2,7 +2,12 @@ from __future__ import annotations
 
 import random
 
-from g2crystal.cartan import INDEX_SET, simple_root, weight_sub
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from g2crystal.cartan import INDEX_SET, PAIR_ZERO, pair_add, pair_neg, simple_root, weight_sub
+from g2crystal.graph import bfs
 from g2crystal.monomials import (
     ExtMonomial,
     ScanResult,
@@ -10,6 +15,7 @@ from g2crystal.monomials import (
     classify_seed,
     highest_monomial,
 )
+from g2crystal.verify import random_monomial
 
 from conftest import DEPTH2_YFORMS, EXAMPLE_EXPONENTS
 
@@ -21,13 +27,13 @@ def test_a_monomial_expansions():
     assert a_monomial(2, -2) == ExtMonomial(
         {(2, -2): (0, 1), (2, -1): (0, 1), (1, -1): (0, -3)}
     )
-    assert a_monomial(1, 0) * a_monomial(1, 0, -1) == ExtMonomial.one()
+    assert a_monomial(1, 0) * a_monomial(1, 0, -1) == ExtMonomial()
 
 
 def test_multiplication():
     m = ExtMonomial(EXAMPLE_EXPONENTS)
-    assert m * ExtMonomial.one() == m
-    assert m * m.inverse() == ExtMonomial.one()
+    assert m * ExtMonomial() == m
+    assert m * m.inverse() == ExtMonomial()
     left = highest_monomial() * a_monomial(1, -1, -1)
     assert left == ExtMonomial(DEPTH2_YFORMS[(1,)])
 
@@ -36,7 +42,7 @@ def test_weights():
     top = highest_monomial()
     assert top.wt_pairs() == ((1, 0), (1, 0))
     assert top.wt() == (0, 0)
-    assert ExtMonomial.one().wt_pairs() == ((0, 0), (0, 0))
+    assert ExtMonomial().wt_pairs() == ((0, 0), (0, 0))
     assert ExtMonomial(EXAMPLE_EXPONENTS).wt() == (-5, -1)
 
 
@@ -44,7 +50,7 @@ def test_phi_eps_pairs():
     top = highest_monomial()
     assert top.phi_pair(1) == (1, 0) and top.eps_pair(1) == (0, 0)
     assert top.phi_pair(2) == (1, 0) and top.eps_pair(2) == (0, 0)
-    one = ExtMonomial.one()
+    one = ExtMonomial()
     for i in INDEX_SET:
         assert one.phi_pair(i) == (0, 0) and one.eps_pair(i) == (0, 0)
     lowered = top.f(1)
@@ -158,7 +164,7 @@ def test_ordinary_monomials_embed():
 def test_serialization():
     top = highest_monomial()
     assert top.text() == "Y_1(-1)^(1,0) Y_2(-2)^(1,0)"
-    assert ExtMonomial.one().text() == "1"
+    assert ExtMonomial().text() == "1"
     as_json = top.to_json()
     assert as_json == [
         {"i": 1, "m": -1, "u": 1, "v": 0},
@@ -170,8 +176,8 @@ def test_serialization():
 
 
 def test_canonical_form_drops_zero_exponents():
-    assert ExtMonomial({(1, 0): (0, 0)}) == ExtMonomial.one()
-    assert hash(ExtMonomial({(1, 0): (0, 0)})) == hash(ExtMonomial.one())
+    assert ExtMonomial({(1, 0): (0, 0)}) == ExtMonomial()
+    assert hash(ExtMonomial({(1, 0): (0, 0)})) == hash(ExtMonomial())
 
 
 def _dense_scan(mono, i):
@@ -214,7 +220,7 @@ def test_fast_constructor_matches_validating_constructor():
         for fast, slow in (
             (left * right, ExtMonomial(product)),
             (left.inverse(), ExtMonomial(negated)),
-            (left * left.inverse(), ExtMonomial.one()),
+            (left * left.inverse(), ExtMonomial()),
         ):
             assert fast == slow and hash(fast) == hash(slow) and fast.key() == slow.key()
     for i in INDEX_SET:
@@ -224,3 +230,140 @@ def test_fast_constructor_matches_validating_constructor():
             slow_down = ExtMonomial({pos: (-u, -v) for pos, (u, v) in up.factors()})
             assert up == slow_up and hash(up) == hash(slow_up)
             assert down == slow_down and hash(down) == hash(slow_down)
+
+
+def test_constructors_reject_non_integers():
+    """Positions, exponents and indices must be ints; nothing is truncated."""
+    for bad in (
+        {(1, 0.5): (1.7, 0)},
+        {(True, 0): (1, 0)},
+        {(1, 0): (True, 0)},
+        {(2, 0): (0, 1.0)},
+    ):
+        with pytest.raises(ValueError):
+            ExtMonomial(bad)
+    for i, m in ((1, 2.9), (True, 0), (3, 0)):
+        with pytest.raises(ValueError):
+            a_monomial(i, m)
+
+
+# The scan, extended weight and product of the dict-based core that the
+# key-based one replaced, kept as the reference.
+def _reference_scan(mono, i):
+    support = sorted((m, pair) for (j, m), pair in mono._exp.items() if j == i)
+    if not support:
+        return ScanResult(PAIR_ZERO, PAIR_ZERO, None, None)
+    run_ends = [m - 1 for m, _pair in support[1:]] + [support[-1][0] + 1]
+    total = phi_pair = PAIR_ZERO
+    first = last = support[0][0] - 1
+    for (m, pair), end in zip(support, run_ends):
+        total = pair_add(total, pair)
+        if total > phi_pair:
+            phi_pair, first, last = total, m, end
+        elif total == phi_pair:
+            last = end
+    eps_pair = pair_add(phi_pair, pair_neg(total))
+    m_f = first if phi_pair > PAIR_ZERO else None
+    m_e = last if eps_pair > PAIR_ZERO else None
+    return ScanResult(phi_pair, eps_pair, m_f, m_e)
+
+
+def _reference_wt_pairs(mono):
+    totals = {i: PAIR_ZERO for i in INDEX_SET}
+    for (i, _m), pair in mono._exp.items():
+        totals[i] = pair_add(totals[i], pair)
+    return (totals[1], totals[2])
+
+
+def _reference_product(left, right):
+    """The exponent map of ``left * right``."""
+    exp = dict(left._exp)
+    for pos, pair in right._exp.items():
+        if pos in exp:
+            pair = pair_add(exp[pos], pair)
+            if pair == PAIR_ZERO:
+                del exp[pos]
+                continue
+        exp[pos] = pair
+    return exp
+
+
+def _reference_key(exp):
+    return tuple(sorted(pos + pair for pos, pair in exp.items()))
+
+
+def _assert_core_matches_reference(mono, other):
+    # scan relies on the key being sorted, whichever constructor built it
+    exp = dict(mono._exp)
+    assert mono.key() == ExtMonomial(exp).key() == ExtMonomial._canonical(exp).key()
+    assert mono.key() == _reference_key(exp)
+    for i in INDEX_SET:
+        assert mono.scan(i) == _reference_scan(mono, i), (mono.text(), i)
+    assert mono.wt_pairs() == _reference_wt_pairs(mono), mono.text()
+    exp = _reference_product(mono, other)
+    product = mono * other
+    assert product._exp == exp and product.key() == _reference_key(exp), mono.text()
+
+
+def _assert_core_matches_reference_on(monos):
+    for mono, other in zip(monos, monos[1:] + monos[:1]):
+        _assert_core_matches_reference(mono, other)
+        _assert_core_matches_reference(mono, mono.inverse())
+        assert mono * mono.inverse() == ExtMonomial()
+
+
+def test_core_matches_reference_on_random_draws():
+    rng = random.Random(21)
+    draws = [
+        _random_monomial(rng, window=rng.randint(1, 8), bound=rng.randint(1, 5))
+        for _ in range(2000)
+    ]
+    rng = random.Random(22)
+    draws += [random_monomial(rng) for _ in range(2000)]
+    _assert_core_matches_reference_on(draws)
+
+
+def test_core_matches_reference_on_depth_ten_graph():
+    graph = bfs(highest_monomial(), 10, "monomial")
+    monos = [mono for mono, _depth in graph.nodes.values()]
+    _assert_core_matches_reference_on(monos)
+    for mono in monos:
+        for i in INDEX_SET:
+            res = _reference_scan(mono, i)
+            if res.m_f is not None:
+                _assert_core_matches_reference(mono, a_monomial(i, res.m_f, -1))
+            if res.m_e is not None:
+                _assert_core_matches_reference(mono, a_monomial(i, res.m_e, +1))
+
+
+def test_core_matches_reference_on_edge_cases():
+    big = 10**9
+    cases = [
+        ExtMonomial(),
+        ExtMonomial({(1, 0): (0, 3), (1, 2): (0, -1), (1, 5): (0, -2)}),
+        ExtMonomial({(2, -3): (1, -1), (2, 4): (-1, 2), (2, 5): (0, -1)}),
+        ExtMonomial({(1, 0): (big, -big), (1, 1): (-big, big), (2, 0): (0, big), (2, 7): (0, 1)}),
+        ExtMonomial({(1, -big): (0, 1), (1, big): (0, -1), (2, 0): (-big, 0)}),
+    ]
+    assert ExtMonomial().scan(1) == ExtMonomial().scan(2) == ScanResult(
+        PAIR_ZERO, PAIR_ZERO, None, None
+    )
+    for mono in cases:
+        for other in cases:
+            _assert_core_matches_reference(mono, other)
+    _assert_core_matches_reference_on(cases)
+
+
+_exponent_maps = st.dictionaries(
+    st.tuples(st.sampled_from(INDEX_SET), st.integers(-6, 6)),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(exp=_exponent_maps)
+def test_scan_matches_reference_on_arbitrary_maps(exp):
+    mono = ExtMonomial(exp)
+    for i in INDEX_SET:
+        assert mono.scan(i) == _reference_scan(mono, i) == _dense_scan(mono, i)

@@ -190,7 +190,6 @@ def test_counts_are_complete_invariant():
 def test_rendering_and_json():
     example = MLTableau(*EXAMPLE_COUNTS)
     assert example.text() == "1 1 1 1 2 0 3b 3b 1b / 2 3 3"
-    assert example.pretty() == "[1][1][1][1][2][0][3b][3b][1b]\n[2][3][3]"
     assert MLTableau.from_json(example.to_json()) == example
 
 
