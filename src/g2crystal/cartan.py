@@ -22,9 +22,9 @@ Count vectors
 Elements of M(infinity) and marginally large tableaux are both stored as
 the seven counts ``(b2, b3, b0, b3bar, b2bar, b1bar, b3low)``: nonnegative
 integers with ``b0 <= 1``.  :class:`CountVector` holds that storage, its
-validation and its JSON reader (which bounds each count by
-:data:`MAX_JSON_COUNT`, an input guard); :func:`reduce_signature` is the
-(0,1) cancellation that every signature rule ends with.  It works on runs of
+validation (:func:`check_counts`, shared with the tensor-product counts)
+and its JSON reader; :func:`reduce_signature` is the (0,1) cancellation
+that every signature rule ends with.  It works on runs of
 equal symbols, so a signature rule costs the same at any count.  The rules
 that build the run-length signature words and act on them stay with each
 realization.
@@ -145,9 +145,12 @@ def reduce_signature(runs):
     return reduced
 
 
-# Largest count accepted from element JSON, kept as an input guard; direct
-# construction is unbounded.
-MAX_JSON_COUNT = 100_000
+def check_counts(counts):
+    """Raise :class:`ValueError` unless every count is a nonnegative ``int``
+    (``bool`` is not one)."""
+    for c in counts:
+        if type(c) is not int or c < 0:
+            raise ValueError(f"counts must be nonnegative integers, got {counts}")
 
 
 @dataclass(frozen=True)
@@ -163,9 +166,7 @@ class CountVector:
     b3low: int = 0
 
     def __post_init__(self):
-        counts = self.counts()
-        if any(c < 0 for c in counts):
-            raise ValueError(f"negative count in {counts}")
+        check_counts(self.counts())
         if self.b0 > 1:
             raise ValueError(f"b0 must be 0 or 1, got {self.b0}")
 
@@ -174,14 +175,7 @@ class CountVector:
 
     @classmethod
     def from_json(cls, obj):
-        """Read counts strictly and bound them by :data:`MAX_JSON_COUNT`."""
-        values = read_json_ints(obj, {f.name: f.default for f in fields(cls)})
-        for name in COUNT_FIELDS:
-            if values[name] > MAX_JSON_COUNT:
-                raise ValueError(
-                    f"{name!r} must be at most {MAX_JSON_COUNT}, got {values[name]}"
-                )
-        return cls(**values)
+        return cls(**read_json_ints(obj, {f.name: f.default for f in fields(cls)}))
 
 
 COUNT_FIELDS = tuple(f.name for f in fields(CountVector))

@@ -18,7 +18,7 @@ import sys
 
 from .graph import REALIZATIONS, bfs, element_from_json, highest_element, to_dot, to_json
 from .isomorphisms import convert
-from .verify import SUITES, check_bookkeeping
+from .verify import SUITES
 
 DEFAULT_DEPTH_CAP = 12
 
@@ -79,11 +79,7 @@ def cmd_convert(args):
 
 
 def cmd_verify(args):
-    depth = _check_depth(args.depth, args.force)
-    if args.suite == "bookkeeping":
-        report = check_bookkeeping()
-    else:
-        report = SUITES[args.suite](depth)
+    report = SUITES[args.suite](_check_depth(args.depth, args.force))
     print(report.summary())
     return 0 if report.ok else 1
 
@@ -118,7 +114,7 @@ def build_parser():
     p_convert.set_defaults(func=cmd_convert)
 
     p_verify = sub.add_parser("verify", help="run a property suite")
-    p_verify.add_argument("suite", choices=sorted(SUITES) + ["bookkeeping"])
+    p_verify.add_argument("suite", choices=sorted(SUITES))
     p_verify.add_argument("--depth", type=int, default=6)
     p_verify.add_argument("--force", action="store_true", help="allow depths beyond the cap")
     p_verify.set_defaults(func=cmd_verify)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .cartan import PAIR_ZERO, pair_add, pairing, read_json_ints, simple_root
+from .cartan import PAIR_ZERO, check_counts, pair_add, pairing, read_json_ints, simple_root
 
 # Field name and factor index for each tensor slot, in tensor order.
 _SLOTS = (("k12bar", 1), ("k13bar", 2), ("k13", 1), ("k12", 2), ("k11", 1), ("k22", 2))
@@ -74,8 +74,7 @@ class CliffElement:
     k22: int = 0
 
     def __post_init__(self):
-        if any(c < 0 for c in self.ks()):
-            raise ValueError(f"negative factor count in {self.ks()}")
+        check_counts(self.ks())
 
     def ks(self):
         return (self.k12bar, self.k13bar, self.k13, self.k12, self.k11, self.k22)

@@ -213,17 +213,17 @@ REALIZATIONS = {
 }
 
 
-def highest_element(realization):
+def _registered(realization):
+    """The ``(highest element, JSON reader)`` pair of a realization name."""
     try:
-        factory, _parser = REALIZATIONS[realization]
+        return REALIZATIONS[realization]
     except KeyError:
         raise ValueError(f"unknown realization {realization!r}") from None
-    return factory()
+
+
+def highest_element(realization):
+    return _registered(realization)[0]()
 
 
 def element_from_json(realization, obj):
-    try:
-        _factory, parser = REALIZATIONS[realization]
-    except KeyError:
-        raise ValueError(f"unknown realization {realization!r}") from None
-    return parser(obj)
+    return _registered(realization)[1](obj)

@@ -79,6 +79,8 @@ class MinfElement(CountVector):
 
     def __post_init__(self):
         super().__post_init__()
+        if not (type(self.p1) is type(self.p2) is type(self.r) is int):
+            raise ValueError(f"family parameters must be integers, got {self.params()}")
         if self.p1 < 1 or self.p2 < 1:
             raise ValueError("family parameters p1, p2 must be positive")
 

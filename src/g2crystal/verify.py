@@ -12,13 +12,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .cartan import INDEX_SET, pairing, simple_root, weight_sub
-from .graph import bfs, iso_check, kostant_partitions, weight_census
-from .cliff import highest_cliff
+from .cartan import INDEX_SET, pair_add, pair_neg, pairing, simple_root, weight_sub
+from .graph import bfs, highest_element, iso_check, kostant_partitions, weight_census
 from .isomorphisms import shift_params, tableau_to_cliff, tableau_to_minf
 from .minf import highest_minf, is_minf_monomial
 from .monomials import ExtMonomial, highest_monomial
-from .tableaux import MLTableau, highest_tableau
+from .tableaux import MLTableau
 
 _MAX_DETAILS = 5
 
@@ -45,48 +44,48 @@ class SuiteReport:
         return "\n".join(lines)
 
 
+def _agree(got, want, image, *args):
+    """Whether ``image(got, *args) == want``, the crystal zero ``None``
+    matching only itself."""
+    if got is None or want is None:
+        return got is want
+    return image(got, *args) == want
+
+
 def _three_graphs(depth):
-    return (
-        bfs(highest_minf(), depth, "minf"),
-        bfs(highest_tableau(), depth, "tableaux"),
-        bfs(highest_cliff(), depth, "cliff"),
-    )
+    return tuple(bfs(highest_element(name), depth, name) for name in ("minf", "tableaux", "cliff"))
+
+
+def _tableau_fault(tab):
+    try:
+        MLTableau.from_rows(*tab.rows())
+    except ValueError as exc:
+        return f"is invalid: {exc}"
+    return ""
+
+
+# Defining-set membership per realization: the reason an element lies
+# outside its set, or "" when it is a member.
+_OUTSIDE = {
+    "minf": lambda x: "" if is_minf_monomial(x.to_monomial(), *x.params()) else "leaves the set",
+    "tableaux": _tableau_fault,
+    "cliff": lambda x: "" if x.is_member() else "leaves the chain",
+}
 
 
 def check_closure(depth):
     """Lowering images stay inside their defining sets; raising images do
     too or are the crystal zero."""
     report = SuiteReport(f"closure(depth={depth})")
-    gm, gt, gc = _three_graphs(depth)
-    for key in gm.nodes:
-        elem = gm.element(key)
-        for i in INDEX_SET:
-            img = elem.f(i)
-            report.tick()
-            if not is_minf_monomial(img.to_monomial(), *img.params()):
-                report.fail(f"minf f_{i} image leaves the set at {elem.text()}")
-            up = elem.e(i)
-            report.tick()
-            if up is not None and not is_minf_monomial(up.to_monomial(), *up.params()):
-                report.fail(f"minf e_{i} image leaves the set at {elem.text()}")
-    for key in gt.nodes:
-        tab = gt.element(key)
-        for i in INDEX_SET:
-            for img in (tab.f(i), tab.e(i)):
-                report.tick()
-                if img is None:
-                    continue
-                try:
-                    MLTableau.from_rows(*img.rows())
-                except ValueError as exc:
-                    report.fail(f"tableau image invalid at {tab.text()}: {exc}")
-    for key in gc.nodes:
-        elem = gc.element(key)
-        for i in INDEX_SET:
-            for img in (elem.f(i), elem.e(i)):
-                report.tick()
-                if img is not None and not img.is_member():
-                    report.fail(f"cliff image outside the chain at {elem.text()}")
+    for graph in _three_graphs(depth):
+        outside = _OUTSIDE[graph.realization]
+        for elem, _depth in graph.nodes.values():
+            for i in INDEX_SET:
+                for op, img in (("f", elem.f(i)), ("e", elem.e(i))):
+                    report.tick()
+                    why = ("is the zero" if op == "f" else "") if img is None else outside(img)
+                    if why:
+                        report.fail(f"{graph.realization} {op}_{i} image {why} at {elem.text()}")
     return report
 
 
@@ -96,8 +95,7 @@ def check_involution(depth):
     report = SuiteReport(f"involution(depth={depth})")
     graphs = _three_graphs(depth) + (bfs(highest_monomial(), depth, "monomial"),)
     for graph in graphs:
-        for key in graph.nodes:
-            elem = graph.element(key)
+        for elem, _depth in graph.nodes.values():
             for i in INDEX_SET:
                 down = elem.f(i)
                 report.tick()
@@ -122,37 +120,22 @@ def check_iso(depth):
         report.tick()
         if not iso_check(left, right):
             report.fail(f"{left.realization} and {right.realization} graphs differ")
-    for key in gt.nodes:
-        tab = gt.element(key)
+    for tab, _depth in gt.nodes.values():
         bm, cf = tableau_to_minf(tab), tableau_to_cliff(tab)
-        for i in INDEX_SET:
-            report.tick(2)
-            if tableau_to_minf(tab.f(i)) != bm.f(i):
-                report.fail(f"theta misses f_{i} at {tab.text()}")
-            if tableau_to_cliff(tab.f(i)) != cf.f(i):
-                report.fail(f"tensor map misses f_{i} at {tab.text()}")
-            te, be, ce = tab.e(i), bm.e(i), cf.e(i)
-            report.tick(2)
-            if (te is None) != (be is None) or (
-                te is not None and tableau_to_minf(te) != be
-            ):
-                report.fail(f"theta misses e_{i} at {tab.text()}")
-            if (te is None) != (ce is None) or (
-                te is not None and tableau_to_cliff(te) != ce
-            ):
-                report.fail(f"tensor map misses e_{i} at {tab.text()}")
-    for key in gt.nodes:
-        tab = gt.element(key)
-        bm, cf = tableau_to_minf(tab), tableau_to_cliff(tab)
+        maps = (("theta", bm, tableau_to_minf), ("tensor map", cf, tableau_to_cliff))
         report.tick()
         if not (tab.wt() == bm.wt() == cf.wt()):
             report.fail(f"weights disagree at {tab.text()}")
         for i in INDEX_SET:
-            report.tick()
-            if not (tab.eps(i) == bm.eps(i) == cf.eps(i)):
-                report.fail(f"eps_{i} disagrees at {tab.text()}")
-            if not (tab.phi(i) == bm.phi(i) == cf.phi(i)):
-                report.fail(f"phi_{i} disagrees at {tab.text()}")
+            moves = (("f", tab.f(i)), ("e", tab.e(i)))
+            report.tick(5)
+            for name, image, to in maps:
+                for op, moved in moves:
+                    if not _agree(moved, getattr(image, op)(i), to):
+                        report.fail(f"{name} misses {op}_{i} at {tab.text()}")
+            for op in ("eps", "phi"):
+                if not getattr(tab, op)(i) == getattr(bm, op)(i) == getattr(cf, op)(i):
+                    report.fail(f"{op}_{i} disagrees at {tab.text()}")
     return report
 
 
@@ -180,8 +163,7 @@ def check_lemma_equivalence(depth):
     two operator rules enumerate the same set."""
     report = SuiteReport(f"lemma-equivalence(depth={depth})")
     gm = bfs(highest_minf(), depth, "minf")
-    for key in gm.nodes:
-        elem = gm.element(key)
+    for elem, _depth in gm.nodes.values():
         mono = elem.to_monomial()
         if elem.wt() != mono.wt():
             report.fail(f"weight mismatch at {elem.text()}")
@@ -189,13 +171,10 @@ def check_lemma_equivalence(depth):
             report.tick(2)
             if elem.eps(i) != mono.eps(i) or elem.phi(i) != mono.phi(i):
                 report.fail(f"eps_{i}/phi_{i} mismatch at {elem.text()}")
-            if elem.f(i).to_monomial() != mono.f(i):
-                report.fail(f"f_{i} rule mismatch at {elem.text()}")
-            up, generic_up = elem.e(i), mono.e(i)
-            if (up is None) != (generic_up is None) or (
-                up is not None and up.to_monomial() != generic_up
-            ):
-                report.fail(f"e_{i} rule mismatch at {elem.text()}")
+            for op in ("f", "e"):
+                got, want = getattr(elem, op)(i), getattr(mono, op)(i)
+                if not _agree(got, want, lambda x: x.to_monomial()):
+                    report.fail(f"{op}_{i} rule mismatch at {elem.text()}")
     gy = bfs(highest_monomial(), depth, "monomial")
     report.tick()
     minf_keys = {elem.to_monomial().key() for elem, _d in gm.nodes.values()}
@@ -227,11 +206,7 @@ def check_bookkeeping(count=10000, seed=20260313):
         for i in INDEX_SET:
             res = mono.scan(i)
             report.tick()
-            expected = (
-                res.phi_pair[0] - res.eps_pair[0],
-                res.phi_pair[1] - res.eps_pair[1],
-            )
-            if pairs[i - 1] != expected:
+            if pairs[i - 1] != pair_add(res.phi_pair, pair_neg(res.eps_pair)):
                 report.fail(f"pair weight bookkeeping fails at {mono.text()} i={i}")
             if mono.phi(i) - mono.eps(i) != pairing(i, mono.wt()):
                 report.fail(f"weight bookkeeping fails at {mono.text()} i={i}")
@@ -267,8 +242,7 @@ def check_shift_family(depth):
     closed-form maps of the unshifted element."""
     report = SuiteReport(f"shift-family(depth={depth})")
     gm = bfs(highest_minf(), depth, "minf")
-    for key in gm.nodes:
-        elem = gm.element(key)
+    for elem, _depth in gm.nodes.values():
         for params in _SHIFT_GRID:
             moved = shift_params(elem, *params)
             moved_mono = moved.to_monomial()
@@ -280,16 +254,15 @@ def check_shift_family(depth):
             for i in INDEX_SET:
                 if moved_mono.eps(i) != elem.eps(i) or moved_mono.phi(i) != elem.phi(i):
                     report.fail(f"shift changes eps/phi at {elem.text()} {params}")
-                if shift_params(elem.f(i), *params) != moved.f(i):
-                    report.fail(f"shift misses f_{i} at {elem.text()} {params}")
-                up, moved_up = elem.e(i), moved.e(i)
-                if (up is None) != (moved_up is None) or (
-                    up is not None and shift_params(up, *params) != moved_up
-                ):
-                    report.fail(f"shift misses e_{i} at {elem.text()} {params}")
+                for op in ("f", "e"):
+                    got, want = getattr(elem, op)(i), getattr(moved, op)(i)
+                    if not _agree(got, want, shift_params, *params):
+                        report.fail(f"shift misses {op}_{i} at {elem.text()} {params}")
     return report
 
 
+# The CLI's suites by name; each takes the enumeration depth, which the
+# sampled bookkeeping suite ignores.
 SUITES = {
     "closure": check_closure,
     "involution": check_involution,
@@ -297,4 +270,5 @@ SUITES = {
     "census": check_census,
     "lemma-equivalence": check_lemma_equivalence,
     "shift": check_shift_family,
+    "bookkeeping": lambda _depth: check_bookkeeping(),
 }

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -234,7 +235,7 @@ def test_convert_rejects_bad_json(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "suite", ["closure", "involution", "iso", "census", "lemma-equivalence", "shift"]
+    "suite", ["closure", "involution", "iso", "census", "lemma-equivalence", "shift", "bookkeeping"]
 )
 def test_verify_suites_pass(capsys, monkeypatch, suite):
     code, out, _err = run(capsys, monkeypatch, ["verify", suite, "--depth", "4"])
@@ -275,8 +276,6 @@ def test_tableau_with_two_zeros_rejected(capsys, monkeypatch, argv):
         ("minf", '{"b2": true}'),
         ("minf", '{"b2": "3"}'),
         ("monomial", '[{"i": 1, "m": 0.5, "u": 1, "v": 0}]'),
-        ("minf", '{"b2": 100001}'),
-        ("tableaux", '{"b2": 100001}'),
     ],
 )
 def test_malformed_element_json_rejected(capsys, monkeypatch, command, realization, stdin):
@@ -287,6 +286,24 @@ def test_malformed_element_json_rejected(capsys, monkeypatch, command, realizati
     code, out, err = run(capsys, monkeypatch, argv, stdin=stdin)
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("g2crystal: ")
+
+
+@pytest.mark.parametrize("command", ["apply", "convert"])
+@pytest.mark.parametrize("realization", ["minf", "tableaux"])
+def test_large_counts_accepted(capsys, monkeypatch, command, realization):
+    """Counts have no upper bound, and the run-length rules act on them at
+    constant cost."""
+    if command == "apply":
+        argv = ["apply", "--realization", realization, "--word", "f1 f2 e1 e2 f1"]
+        expected = {"b2": 10**9, "b3": 1, "b3low": 10**9 - 1}
+    else:
+        argv = ["convert", "--from", realization, "--to", "cliff"]
+        expected = {"k11": 10**9, "k22": 10**9, "k12": 0}
+    started = time.perf_counter()
+    code, out, err = run(capsys, monkeypatch, argv, stdin='{"b2": 1000000000, "b3low": 1000000000}')
+    assert time.perf_counter() - started < 1.0
+    assert code == 0 and err == ""
+    assert expected.items() <= json.loads(out).items()
 
 
 def test_apply_rejects_cliff_non_member(capsys, monkeypatch):

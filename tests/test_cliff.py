@@ -87,6 +87,8 @@ def test_membership_chain():
     assert not CliffElement(0, 1, 1, 2, 3, 0).is_member()  # 2*k13bar > k13
     with pytest.raises(ValueError):
         CliffElement(-1, 0, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        CliffElement(k11=1.5)
 
 
 def test_a_seq_closed_forms_on_enumerated_members():

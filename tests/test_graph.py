@@ -13,6 +13,7 @@ from g2crystal.cartan import POSITIVE_ROOTS
 from g2crystal.graph import (
     _json_value,
     bfs,
+    element_from_json,
     highest_element,
     iso_check,
     kostant_partitions,
@@ -228,8 +229,10 @@ def test_json_value_rejects_what_it_would_have_to_guess(value):
 
 
 def test_highest_element_rejects_unknown():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown realization"):
         highest_element("nope")
+    with pytest.raises(ValueError, match="unknown realization"):
+        element_from_json("nope", {})
 
 
 def test_bfs_rejects_non_injective_lowering_under_optimize():

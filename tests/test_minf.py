@@ -178,6 +178,12 @@ def test_invalid_vectors_rejected():
         MinfElement(b0=2)
     with pytest.raises(ValueError):
         MinfElement(p1=0)
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        MinfElement(b2=1.5)
+    with pytest.raises(ValueError, match="must be integers"):
+        MinfElement(r=0.5)
+    with pytest.raises(ValueError, match="must be integers"):
+        MinfElement(p1=True)
 
 
 def test_shift_preserves_structure_maps(example_monomial):

@@ -71,8 +71,8 @@ def test_operators_invert_each_other_along_words(realization, word):
             assert up is None or up.f(i) == elem
 
 
-# Small integers, plus integers around the element-JSON count bound
-# (100,000 is accepted, 100,001 is not); the keys mix every known element
+# Small integers, plus integers around 100,000, once a bound on element-JSON
+# counts and now accepted like any count; the keys mix every known element
 # key with arbitrary short text.
 KEYS = sorted({"b2", "b3", "b0", "b3bar", "b2bar", "b1bar", "b3low", "p1", "p2", "r",
                "k12bar", "k13bar", "k13", "k12", "k11", "k22", "i", "m", "u", "v"})

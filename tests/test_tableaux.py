@@ -126,6 +126,8 @@ def test_from_rows_validation():
         MLTableau.from_rows([L1, L1, L0, L0], [L2])  # two 0 boxes
     with pytest.raises(ValueError, match="b0 must be 0 or 1"):
         MLTableau(b0=2)
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        MLTableau(b3=True)
 
 
 def test_weights():
