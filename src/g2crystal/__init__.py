@@ -17,7 +17,7 @@ from .cartan import (
     simple_root,
     weight_to_roots,
 )
-from .cliff import CliffElement, ElementaryElement, highest_cliff
+from .cliff import CliffElement, highest_cliff
 from .graph import (
     CrystalGraph,
     bfs,
@@ -65,7 +65,6 @@ __all__ = [
     "MLTableau",
     "highest_tableau",
     "CliffElement",
-    "ElementaryElement",
     "highest_cliff",
     "tableau_to_minf",
     "minf_to_tableau",

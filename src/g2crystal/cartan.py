@@ -77,6 +77,12 @@ def weight_sub(w, x):
     return (w[0] - x[0], w[1] - x[1])
 
 
+def check_index(i):
+    """Raise :class:`ValueError` unless ``i`` is the ``int`` 1 or 2."""
+    if type(i) is not int or i not in INDEX_SET:
+        raise ValueError(f"index must be 1 or 2, got {i!r}")
+
+
 def simple_root(i):
     return SIMPLE_ROOTS[i]
 

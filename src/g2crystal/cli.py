@@ -41,7 +41,7 @@ def _read_element(args):
         raw = sys.stdin.read()
     try:
         obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"invalid element JSON: {exc}") from None
     return element_from_json(args.realization, obj)
 

@@ -20,46 +20,21 @@ against everything before, strictly maximal against everything after" (and
 its mirror image for raising) read off directly.  Raising at the head
 factor is the crystal zero.
 
-Minus infinity is the ``None`` sentinel; it is never added, and never
-maximal because the head's ``a_k`` is 0.
+The factors are read from the counts, and no factor objects are built: the
+slot ``b_j(-k)`` has eps_j = k, eps_i = minus infinity for i != j, and
+<h_i, wt> = -k * a_ij.  Minus infinity is the ``None`` sentinel; it is
+never added, and never maximal because the head's ``a_k`` is 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .cartan import PAIR_ZERO, check_counts, pair_add, pairing, read_json_ints, simple_root
+from .cartan import CARTAN, check_counts, check_index, pairing, read_json_ints, roots_to_weight
 
 # Field name and factor index for each tensor slot, in tensor order.
 _SLOTS = (("k12bar", 1), ("k13bar", 2), ("k13", 1), ("k12", 2), ("k11", 1), ("k22", 2))
 _JSON_FIELDS = tuple(name for name, _index in _SLOTS)
-
-
-@dataclass(frozen=True)
-class ElementaryElement:
-    """The element ``b_index(k)`` of an elementary crystal."""
-
-    index: int
-    k: int = 0
-
-    def wt(self):
-        a1, a2 = simple_root(self.index)
-        return (self.k * a1, self.k * a2)
-
-    def eps(self, i):
-        return -self.k if i == self.index else None
-
-    def phi(self, i):
-        return self.k if i == self.index else None
-
-    def f(self, i):
-        return replace(self, k=self.k - 1) if i == self.index else None
-
-    def e(self, i):
-        return replace(self, k=self.k + 1) if i == self.index else None
-
-    def text(self):
-        return f"b{self.index}({self.k})"
 
 
 @dataclass(frozen=True)
@@ -92,19 +67,17 @@ class CliffElement:
             and self.k22 >= 0
         )
 
-    def factors(self):
-        return [ElementaryElement(idx, -getattr(self, name)) for name, idx in _SLOTS]
-
     # -- tensor product rule ------------------------------------------------
 
     def a_seq(self, i):
         """The seven ``a_k`` values, ``None`` standing for minus infinity."""
+        check_index(i)
         out = [0]  # head factor u_inf: eps = 0, nothing before it
         acc = 0  # running sum of <h_i, wt(b^v)> over the factors before slot k
-        for factor in self.factors():
-            e = factor.eps(i)
-            out.append(None if e is None else e - acc)
-            acc += pairing(i, factor.wt())
+        for name, idx in _SLOTS:
+            k = getattr(self, name)  # the factor b_idx(-k)
+            out.append(k - acc if idx == i else None)
+            acc -= k * CARTAN[(i, idx)]
         return out
 
     def _select(self, i, lower):
@@ -131,10 +104,10 @@ class CliffElement:
     # -- structure maps -------------------------------------------------------
 
     def wt(self):
-        w = PAIR_ZERO
-        for factor in self.factors():
-            w = pair_add(w, factor.wt())
-        return w
+        """``-n1*alpha_1 - n2*alpha_2``, ``n_j`` summing the factors ``b_j``."""
+        n1 = self.k12bar + self.k13 + self.k11
+        n2 = self.k13bar + self.k12 + self.k22
+        return roots_to_weight(-n1, -n2)
 
     def eps(self, i):
         return max(a for a in self.a_seq(i) if a is not None)
@@ -145,7 +118,7 @@ class CliffElement:
     # -- serialization -----------------------------------------------------------
 
     def text(self):
-        return "u∞ ⊗ " + " ⊗ ".join(f.text() for f in self.factors())
+        return "u∞ ⊗ " + " ⊗ ".join(f"b{idx}({-getattr(self, name)})" for name, idx in _SLOTS)
 
     def to_json(self):
         return dict(zip(_JSON_FIELDS, self.ks()))

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
-from .cartan import PAIR_ZERO, CountVector, pair_add, pairing, reduce_signature
+from .cartan import PAIR_ZERO, CountVector, check_index, pair_add, pairing, reduce_signature
 from .monomials import ExtMonomial
 
 
@@ -144,6 +144,7 @@ class MinfElement(CountVector):
         i = 1 (ones under X_1b, X_3b twice per unit, X_0, X_2; zeros under
         X_2b, X_0, X_3 twice per unit) and X_2b X_3b X_3 X_2 X_3low for i = 2.
         """
+        check_index(i)
         if i == 1:
             return (
                 (1, "1b", self.b1bar),
@@ -154,15 +155,13 @@ class MinfElement(CountVector):
                 (0, "3", 2 * self.b3),
                 (1, "2", self.b2),
             )
-        if i == 2:
-            return (
-                (1, "2b", self.b2bar),
-                (0, "3b", self.b3bar),
-                (1, "3", self.b3),
-                (0, "2", self.b2),
-                (1, "3low", self.b3low),
-            )
-        raise ValueError(f"index must be 1 or 2, got {i}")
+        return (
+            (1, "2b", self.b2bar),
+            (0, "3b", self.b3bar),
+            (1, "3", self.b3),
+            (0, "2", self.b2),
+            (1, "3low", self.b3low),
+        )
 
     def _reduced(self, i):
         return reduce_signature(self.signature_word(i))

@@ -29,6 +29,7 @@ from .cartan import (
     CARTAN,
     INDEX_SET,
     PAIR_ZERO,
+    check_index,
     pair_add,
     pair_neg,
     read_json_ints,
@@ -56,8 +57,7 @@ class ExtMonomial:
         if exponents:
             for (i, m), pair in dict(exponents).items():
                 u, v = pair
-                if type(i) is not int or i not in INDEX_SET:
-                    raise ValueError(f"monomial index must be 1 or 2, got {i!r}")
+                check_index(i)
                 if type(m) is not int or type(u) is not int or type(v) is not int:
                     raise ValueError(f"Y_{i}({m})^{pair}: position and exponents must be ints")
                 if u or v:
@@ -142,6 +142,7 @@ class ExtMonomial:
         reaches the next support position minus 1.  A run still held at the
         last position means eps~ = 0, so ``m_e`` is not read from it.
         """
+        check_index(i)
         tu = tv = pu = pv = 0  # running total and phi~, both the empty sum
         first = last = None  # first and last position holding phi~
         held = False

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import COUNT_FIELDS, CountVector, pairing, reduce_signature, roots_to_weight
+from .cartan import (COUNT_FIELDS, CountVector, check_index, pairing, reduce_signature,
+                     roots_to_weight)
 
 LETTER_NAMES = ("1", "2", "3", "0", "3b", "2b", "1b")
 L1, L2, L3, L0, L3B, L2B, L1B = range(7)
@@ -133,6 +134,7 @@ class MLTableau(CountVector):
         over 2 under i = 1) occur once.  Symbol ``k`` of a run lies in the
         box ``cells[k % len(cells)]`` of column ``first - k // len(cells)``.
         """
+        check_index(i)
         col = self.b3low + 1 + self.b2 + self.b3 + self.b0 + self.b3bar + self.b2bar + self.b1bar
         sizes = (self.b1bar, self.b2bar, self.b3bar, self.b0, self.b3, self.b2, 1, self.b3low, 1)
         runs = []

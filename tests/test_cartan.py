@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from g2crystal.cartan import (
     CARTAN,
     INDEX_SET,
@@ -12,6 +14,7 @@ from g2crystal.cartan import (
     simple_root,
     weight_to_roots,
 )
+from g2crystal.graph import REALIZATIONS, highest_element
 
 
 def test_cartan_constants():
@@ -65,3 +68,14 @@ def test_pair_order_is_total():
 def test_pair_arithmetic():
     assert pair_add((1, -2), (3, 5)) == (4, 3)
     assert pair_add((2, 7), PAIR_ZERO) == (2, 7)
+
+
+@pytest.mark.parametrize("realization", sorted(REALIZATIONS))
+@pytest.mark.parametrize("index", [0, 3, True, 1.0])
+def test_index_outside_index_set_rejected(realization, index):
+    """Operators and structure maps of every realization take only the ints
+    1 and 2; ``True`` and ``1.0`` compare equal to 1 but are rejected."""
+    top = highest_element(realization)
+    for method in ("f", "e", "eps", "phi"):
+        with pytest.raises(ValueError, match="index must be 1 or 2"):
+            getattr(top, method)(index)

@@ -276,6 +276,8 @@ def test_tableau_with_two_zeros_rejected(capsys, monkeypatch, argv):
         ("minf", '{"b2": true}'),
         ("minf", '{"b2": "3"}'),
         ("monomial", '[{"i": 1, "m": 0.5, "u": 1, "v": 0}]'),
+        pytest.param("monomial", "[" * 100000, id="monomial-deep-array"),
+        pytest.param("minf", '{"b2": ' * 50000, id="minf-deep-object"),
     ],
 )
 def test_malformed_element_json_rejected(capsys, monkeypatch, command, realization, stdin):

@@ -2,13 +2,81 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 
 import pytest
 
-from g2crystal.cartan import INDEX_SET, simple_root, weight_sub
-from g2crystal.cliff import CliffElement, ElementaryElement, highest_cliff
+from g2crystal.cartan import INDEX_SET, PAIR_ZERO, pair_add, pairing, simple_root, weight_sub
+from g2crystal.cliff import _SLOTS, CliffElement, highest_cliff
 
 from conftest import EXAMPLE_KS
+
+
+@dataclass(frozen=True)
+class ElementaryElement:
+    """Reference: the element ``b_index(k)`` of an elementary crystal; the
+    factor-based rule below builds the six factors on every call."""
+
+    index: int
+    k: int = 0
+
+    def wt(self):
+        a1, a2 = simple_root(self.index)
+        return (self.k * a1, self.k * a2)
+
+    def eps(self, i):
+        return -self.k if i == self.index else None
+
+    def text(self):
+        return f"b{self.index}({self.k})"
+
+
+def reference_factors(elem):
+    return [ElementaryElement(idx, -getattr(elem, name)) for name, idx in _SLOTS]
+
+
+def reference_a_seq(elem, i):
+    out = [0]
+    acc = 0
+    for factor in reference_factors(elem):
+        e = factor.eps(i)
+        out.append(None if e is None else e - acc)
+        acc += pairing(i, factor.wt())
+    return out
+
+
+def reference_wt(elem):
+    w = PAIR_ZERO
+    for factor in reference_factors(elem):
+        w = pair_add(w, factor.wt())
+    return w
+
+
+def reference_text(elem):
+    return "u∞ ⊗ " + " ⊗ ".join(f.text() for f in reference_factors(elem))
+
+
+def reference_op(elem, i, lower):
+    """``f``/``e`` through the reference a-values: the slot's new counts,
+    ``None`` for raising at the head, ``RuntimeError`` for lowering it, and
+    ``ValueError`` off the crystal when raising empties a zero count."""
+    a = reference_a_seq(elem, i)
+    top = max(x for x in a if x is not None)
+    pos = len(a) - a[::-1].index(top) if lower else a.index(top) + 1
+    if pos == 1:
+        if lower:
+            raise RuntimeError("the head factor is never lowered on members")
+        return None
+    ks = list(elem.ks())
+    ks[pos - 2] += 1 if lower else -1
+    return CliffElement(*ks)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (RuntimeError, ValueError) as exc:
+        return type(exc)
 
 
 def a_seq_oracle(elem, i):
@@ -44,16 +112,47 @@ def _random_member(rng):
     return CliffElement(k12bar, k13bar, k13, k12, k11, rng.randint(0, 4))
 
 
-def test_elementary_structure_maps():
-    b = ElementaryElement(1, 0)
-    assert b.wt() == (0, 0) and b.eps(1) == 0 and b.phi(1) == 0
-    low = ElementaryElement(1, -7)
-    assert low.wt() == (-14, 7)  # -7 * alpha_1 in Lambda-coordinates
-    assert low.eps(1) == 7 and low.phi(1) == -7
-    assert low.eps(2) is None and low.phi(2) is None
-    assert low.f(1) == ElementaryElement(1, -8)
-    assert low.e(1) == ElementaryElement(1, -6)
-    assert low.f(2) is None and low.e(2) is None
+def _members_to_depth(depth):
+    level = {highest_cliff()}
+    seen = set(level)
+    for _ in range(depth):
+        level = {elem.f(i) for elem in level for i in INDEX_SET} - seen
+        seen |= level
+    return seen
+
+
+def assert_matches_reference(elem):
+    assert elem.wt() == reference_wt(elem), elem
+    assert elem.text() == reference_text(elem), elem
+    for i in INDEX_SET:
+        a = reference_a_seq(elem, i)
+        assert elem.a_seq(i) == a, (elem, i)
+        eps = max(x for x in a if x is not None)
+        assert elem.eps(i) == eps, (elem, i)
+        assert elem.phi(i) == eps + pairing(i, reference_wt(elem)), (elem, i)
+        for lower, op in ((True, elem.f), (False, elem.e)):
+            got = _outcome(lambda: op(i))
+            want = _outcome(lambda: reference_op(elem, i, lower))
+            assert got == want, (elem, i, lower)
+
+
+def test_count_rule_matches_factor_reference_on_members():
+    members = _members_to_depth(8)
+    assert len(members) == 176
+    for elem in members:
+        assert_matches_reference(elem)
+
+
+def test_count_rule_matches_factor_reference_off_the_crystal():
+    rng = random.Random(53)
+    vectors = [tuple(rng.randint(0, 60) for _ in range(6)) for _ in range(1000)]
+    vectors += [tuple(rng.randint(0, 4) for _ in range(6)) for _ in range(1000)]
+    members = 0
+    for ks in vectors:
+        elem = CliffElement(*ks)  # members and non-members alike
+        members += elem.is_member()
+        assert_matches_reference(elem)
+    assert 0 < members < len(vectors)
 
 
 def test_a_seq_at_the_origin():
