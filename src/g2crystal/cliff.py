@@ -89,8 +89,8 @@ class CliffElement:
 
     def f(self, i):
         pos = self._select(i, lower=True)
-        if pos <= 1:
-            raise RuntimeError("the head factor is never lowered on members")
+        if pos <= 1:  # the head factor is never lowered on members
+            raise ValueError(f"not in the realization: {self.text()}")
         name = _SLOTS[pos - 2][0]
         return replace(self, **{name: getattr(self, name) + 1})
 
@@ -99,7 +99,10 @@ class CliffElement:
         if pos == 1:
             return None
         name = _SLOTS[pos - 2][0]
-        return replace(self, **{name: getattr(self, name) - 1})
+        try:
+            return replace(self, **{name: getattr(self, name) - 1})
+        except ValueError:  # a zero count raised: only non-members get here
+            raise ValueError(f"not in the realization: {self.text()}") from None
 
     # -- structure maps -------------------------------------------------------
 

@@ -33,12 +33,6 @@ class CrystalGraph:
     nodes: dict = field(default_factory=dict)  # key -> (element, depth)
     edges: list = field(default_factory=list)  # (src key, color, dst key)
 
-    def node_count(self):
-        return len(self.nodes)
-
-    def element(self, key):
-        return self.nodes[key][0]
-
     def sorted_keys(self):
         return sorted(self.nodes, key=lambda k: (self.nodes[k][1], k))
 

@@ -26,10 +26,11 @@ and read the component owning the leftmost surviving 0 (for the lowering
 operator) or the rightmost surviving 1 (for the raising operator).  The
 word is held as at most seven runs of equal symbols, one per component and
 symbol, and the cancellation acts on runs, so the cost does not grow with
-the counts.  Each case moves one unit between two counts, a step of the
-fundamental chain 1 -1-> 2 -2-> 3 -1-> 0 -1-> 3b -2-> 2b -1-> 1b; ``f_i``
-takes its step from one table and ``e_i`` from the inverted table, so
-``e_i`` undoes ``f_i``.
+the counts; ``signature(i)`` is the reduced word, as those runs, that the
+operators and ``eps_i`` read.  Each case moves one unit between two counts,
+a step of the fundamental chain 1 -1-> 2 -2-> 3 -1-> 0 -1-> 3b -2-> 2b -1->
+1b; ``f_i`` takes its step from one table and ``e_i`` from the inverted
+table, so ``e_i`` undoes ``f_i``.
 Each step is multiplication by an explicit ``A_i(m)^{+-1}``, so the rule
 agrees with the generic monomial operators; the verification suites check
 that equivalence exhaustively.
@@ -130,7 +131,7 @@ class MinfElement(CountVector):
         )
 
     def eps(self, i):
-        return sum(n for sym, _tag, n in self._reduced(i) if sym == 1)
+        return sum(n for sym, _tag, n in self.signature(i) if sym == 1)
 
     def phi(self, i):
         return self.eps(i) + pairing(i, self.wt())
@@ -163,22 +164,19 @@ class MinfElement(CountVector):
             (1, "3low", self.b3low),
         )
 
-    def _reduced(self, i):
-        return reduce_signature(self.signature_word(i))
-
     def signature(self, i):
-        """Reduced i-signature, one ``(symbol, component)`` pair per
-        surviving symbol: the expansion of the reduced runs."""
-        return [(sym, tag) for sym, tag, n in self._reduced(i) for _ in range(n)]
+        """Reduced i-signature: the runs ``(symbol, component, mult)`` that
+        survive the (0,1) cancellation, ones before zeros."""
+        return reduce_signature(self.signature_word(i))
 
     def f(self, i):
         """Lowering operator; total on the family (never the crystal zero)."""
-        source = next((tag for sym, tag, _n in self._reduced(i) if sym == 0), None)
+        source = next((tag for sym, tag, _n in self.signature(i) if sym == 0), None)
         return self._move(source, _F_STEP[i][source])
 
     def e(self, i):
         """Raising operator; ``None`` when no 1 survives in the signature."""
-        ones = [tag for sym, tag, _n in self._reduced(i) if sym == 1]
+        ones = [tag for sym, tag, _n in self.signature(i) if sym == 1]
         if not ones:
             return None
         return self._move(ones[-1], _E_STEP[i][ones[-1]])

@@ -79,11 +79,11 @@ class ExtMonomial:
         return self._exp.get((i, m), PAIR_ZERO)
 
     def support(self):
-        return sorted(self._exp)
+        return [(i, m) for i, m, _u, _v in self._key]
 
     def factors(self):
-        """Factors as ``((i, m), (u, v))`` sorted by variable."""
-        return [((i, m), self._exp[(i, m)]) for (i, m) in self.support()]
+        """Factors as ``((i, m), (u, v))`` sorted by variable, read off the key."""
+        return [((i, m), (u, v)) for i, m, u, v in self._key]
 
     def key(self):
         return self._key

@@ -19,8 +19,8 @@ signature word with (0,1) cancellation, box replacement, and column
 insertion or removal to restore marginal largeness.  They act on runs of the
 reading, not on a materialised grid: the reading is at most nine units of
 equal boxes or columns, each unit's signature symbols form runs, and a
-surviving symbol's offset in its run gives its box.  So the cost does not
-grow with the counts.
+surviving symbol's offset in its run gives its box; ``signature(i)`` is the
+reduced word in that run form.  So the cost does not grow with the counts.
 """
 
 from __future__ import annotations
@@ -109,21 +109,7 @@ class MLTableau(CountVector):
             n[x] += 1
         return cls(n[L2], n[L3], n[L0], n[L3B], n[L2B], n[L1B], len(row2) - 1)
 
-    # -- reading and signature ----------------------------------------------
-
-    def reading(self):
-        """Far-eastern reading: columns right to left, top to bottom.
-
-        Returns ``(letter, (row, col))`` pairs so operator steps can locate
-        the box they act on.
-        """
-        row1, row2 = self.rows()
-        out = []
-        for col in range(len(row1) - 1, -1, -1):
-            out.append((row1[col], (0, col)))
-            if col < len(row2):
-                out.append((row2[col], (1, col)))
-        return out
+    # -- signature ------------------------------------------------------------
 
     def signature_word(self, i):
         """The i-signature word of the far-eastern reading, as runs
@@ -148,27 +134,17 @@ class MLTableau(CountVector):
             col -= units
         return runs
 
-    def _reduced(self, i):
-        return reduce_signature(self.signature_word(i))
-
     def signature(self, i):
-        """Reduced i-signature: eps_i(x) ones then phi_i(x) zeros per box,
-        with (0,1) adjacencies cancelled; one ``(symbol, (row, col))`` pair
-        per survivor, expanded from the reduced runs."""
-        out = []
-        for sym, (cells, units, first), mult in self._reduced(i):
-            size = len(cells)
-            start = 0 if sym == 0 else units * size - mult
-            for k in range(start, start + mult):
-                out.append((sym, (cells[k % size][0], first - k // size)))
-        return out
+        """Reduced i-signature: the runs of :meth:`signature_word` left by the
+        (0,1) cancellation, zeros keeping their first symbols, ones their last."""
+        return reduce_signature(self.signature_word(i))
 
     # -- Kashiwara operators --------------------------------------------------
 
     def f(self, i):
         """Lower the box at the leftmost surviving 0, inserting a fresh
         ``i``-row column when the result would not be large."""
-        tag = next((tag for sym, tag, _m in self._reduced(i) if sym == 0), None)
+        tag = next((tag for sym, tag, _m in self.signature(i) if sym == 0), None)
         if tag is None:
             raise RuntimeError("the lowering operator is total on marginally large tableaux")
         cells, _units, col = tag
@@ -179,7 +155,7 @@ class MLTableau(CountVector):
         """Raise the box at the rightmost surviving 1, removing its column
         when the result is large but not marginally large; ``None`` when no
         1 survives."""
-        ones = [tag for sym, tag, _m in self._reduced(i) if sym == 1]
+        ones = [tag for sym, tag, _m in self.signature(i) if sym == 1]
         if not ones:
             return None
         cells, units, first = ones[-1]
@@ -226,7 +202,7 @@ class MLTableau(CountVector):
         return roots_to_weight(-a, -b)
 
     def eps(self, i):
-        return sum(m for sym, _tag, m in self._reduced(i) if sym == 1)
+        return sum(m for sym, _tag, m in self.signature(i) if sym == 1)
 
     def phi(self, i):
         return self.eps(i) + pairing(i, self.wt())

@@ -104,7 +104,7 @@ def test_criterion_3_realizations_isomorphic_to_depth_ten():
     report = check_iso(10)
     print(report.summary())
     assert report.ok, report.summary()
-    assert bfs(highest_element("minf"), 10, "minf").node_count() == 372
+    assert len(bfs(highest_element("minf"), 10, "minf").nodes) == 372
     _report(3, "depth-10 graph isomorphisms and commutation", started, 30.0)
 
 

@@ -58,14 +58,14 @@ def reference_text(elem):
 
 def reference_op(elem, i, lower):
     """``f``/``e`` through the reference a-values: the slot's new counts,
-    ``None`` for raising at the head, ``RuntimeError`` for lowering it, and
-    ``ValueError`` off the crystal when raising empties a zero count."""
+    ``None`` for raising at the head, and ``ValueError`` off the crystal,
+    for lowering the head or for raising a zero count."""
     a = reference_a_seq(elem, i)
     top = max(x for x in a if x is not None)
     pos = len(a) - a[::-1].index(top) if lower else a.index(top) + 1
     if pos == 1:
         if lower:
-            raise RuntimeError("the head factor is never lowered on members")
+            raise ValueError("the head factor is never lowered on members")
         return None
     ks = list(elem.ks())
     ks[pos - 2] += 1 if lower else -1
@@ -153,6 +153,24 @@ def test_count_rule_matches_factor_reference_off_the_crystal():
         members += elem.is_member()
         assert_matches_reference(elem)
     assert 0 < members < len(vectors)
+
+
+def test_operators_on_non_members_name_the_element():
+    """``f`` and ``e`` never fail on members; on a directly built non-member
+    that the rule would take out of the realization, they raise a
+    ``ValueError`` naming the element passed, not a vector derived from it."""
+    failures = 0
+    for ks in itertools.product(range(3), repeat=6):
+        elem = CliffElement(*ks)
+        for i in INDEX_SET:
+            for op in (elem.f, elem.e):
+                try:
+                    op(i)
+                except ValueError as exc:
+                    assert not elem.is_member(), (ks, i)
+                    assert str(exc) == f"not in the realization: {elem.text()}", (ks, i)
+                    failures += 1
+    assert failures == 287  # 97 lowerings at the head, 190 raisings of a zero count
 
 
 def test_a_seq_at_the_origin():

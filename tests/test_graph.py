@@ -32,7 +32,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def test_bfs_depth_one():
     graph = bfs(highest_minf(), 1, "minf")
-    assert graph.node_count() == 3
+    assert len(graph.nodes) == 3
     assert len(graph.edges) == 2
     assert {i for _s, i, _d in graph.edges} == {1, 2}
 
@@ -41,7 +41,7 @@ def test_bfs_depth_two_matches_known_slice():
     graph = bfs(highest_monomial(), 2, "monomial")
     expected = {ExtMonomial(exp).key() for exp in DEPTH2_YFORMS.values()}
     assert set(graph.nodes) == expected
-    assert graph.node_count() == 7 and len(graph.edges) == 6
+    assert len(graph.nodes) == 7 and len(graph.edges) == 6
     graph_x = bfs(highest_minf(), 2, "minf")
     expected_x = {MinfElement(*c).key() for c in DEPTH2_COUNTS.values()}
     assert set(graph_x.nodes) == expected_x
@@ -57,7 +57,7 @@ def test_bfs_depth_two_matches_known_slice():
 
 def test_bfs_depth_zero():
     graph = bfs(highest_tableau(), 0, "tableaux")
-    assert graph.node_count() == 1 and not graph.edges
+    assert len(graph.nodes) == 1 and not graph.edges
 
 
 def test_census_depth_two():

@@ -86,7 +86,7 @@ def cliff_to_tableau_random(rng):
 def test_maps_are_mutually_inverse():
     graph = bfs(highest_tableau(), 6, "tableaux")
     for key in graph.nodes:
-        tab = graph.element(key)
+        tab = graph.nodes[key][0]
         assert minf_to_tableau(tableau_to_minf(tab)) == tab
         assert cliff_to_tableau(tableau_to_cliff(tab)) == tab
         assert cliff_to_minf(minf_to_cliff(tableau_to_minf(tab))) == tableau_to_minf(tab)
@@ -95,7 +95,7 @@ def test_maps_are_mutually_inverse():
 def test_operator_commutation_to_depth_six():
     graph = bfs(highest_tableau(), 6, "tableaux")
     for key in graph.nodes:
-        tab = graph.element(key)
+        tab = graph.nodes[key][0]
         vec, ks = tableau_to_minf(tab), tableau_to_cliff(tab)
         for i in INDEX_SET:
             assert tableau_to_minf(tab.f(i)) == vec.f(i)
@@ -111,7 +111,7 @@ def test_operator_commutation_to_depth_six():
 def test_structure_map_transport():
     graph = bfs(highest_tableau(), 6, "tableaux")
     for key in graph.nodes:
-        tab = graph.element(key)
+        tab = graph.nodes[key][0]
         vec, ks = tableau_to_minf(tab), tableau_to_cliff(tab)
         assert tab.wt() == vec.wt() == ks.wt()
         for i in INDEX_SET:

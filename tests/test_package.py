@@ -1,0 +1,47 @@
+"""Package-wide guards on how the source is built: the signature rules run
+through one live ``signature`` method, and no invariant rests on ``assert``."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import g2crystal
+from g2crystal.cartan import INDEX_SET
+from g2crystal.minf import MinfElement
+from g2crystal.tableaux import MLTableau
+
+from conftest import EXAMPLE_COUNTS
+
+
+@pytest.mark.parametrize("i", INDEX_SET)
+@pytest.mark.parametrize("method", ["f", "e", "eps", "phi"])
+@pytest.mark.parametrize("cls", [MinfElement, MLTableau], ids=["minf", "tableaux"])
+def test_signature_rule_reads_signature(cls, method, i, monkeypatch):
+    """Operators and structure maps reduce the signature through
+    ``signature(i)``, so no second copy of the rule sits beside it unused."""
+    calls = []
+    live = cls.signature
+
+    def counted(self, j):
+        calls.append(j)
+        return live(self, j)
+
+    monkeypatch.setattr(cls, "signature", counted)
+    getattr(cls(*EXAMPLE_COUNTS), method)(i)
+    assert i in calls
+
+
+def test_no_assert_statements_in_the_package():
+    """Invariants raise real exceptions: ``python -O`` strips ``assert``."""
+    paths = sorted(Path(g2crystal.__file__).parent.glob("*.py"))
+    assert paths
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
