@@ -16,8 +16,8 @@ import argparse
 import json
 import sys
 
-from .graph import REALIZATIONS, bfs, element_from_json, highest_element, to_dot, to_json
-from .isomorphisms import convert
+from .graph import bfs, element_from_json, highest_element, to_dot, to_json
+from .isomorphisms import REALIZATIONS, convert
 from .verify import SUITES
 
 DEFAULT_DEPTH_CAP = 12

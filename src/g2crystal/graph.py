@@ -2,13 +2,15 @@
 
 BFS works over any element obeying the crystal contract described in
 :mod:`~g2crystal.cartan` (``f``/``e``/``wt``/``key``/``text``).  Nodes are
-deduplicated by canonical key and the frontier is expanded in sorted key
-order, so enumeration and both export formats are deterministic
-byte-for-byte.  Every lowering edge drops the weight by one simple root,
-hence a node's depth equals the height ``a + b`` of ``-(a*alpha_1 +
-b*alpha_2)``; the census and the Kostant partition oracle exploit that.
-JSON export fills fixed templates, strings escaped by the C encoder; the
-contract is byte-identity with the stdlib encoder at ``indent=2``.
+deduplicated by canonical key and each level is inserted in key order, so
+``graph.nodes`` is the export order (depth, then key) and enumeration and
+both export formats are deterministic byte-for-byte.  Every lowering edge
+drops the weight by one simple root, hence a node's depth equals the height
+``a + b`` of ``-(a*alpha_1 + b*alpha_2)``; the census and the Kostant
+partition oracle exploit that.  JSON export fills fixed templates, strings
+escaped by the C encoder; the contract is byte-identity with the stdlib
+encoder at ``indent=2``.  Realization names are looked up in
+:data:`~g2crystal.isomorphisms.REALIZATIONS`.
 """
 
 from __future__ import annotations
@@ -17,10 +19,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
 from .cartan import INDEX_SET, POSITIVE_ROOTS, weight_to_roots
-from .cliff import CliffElement, highest_cliff
-from .minf import MinfElement, highest_minf
-from .monomials import ExtMonomial, highest_monomial
-from .tableaux import MLTableau, highest_tableau
+from .isomorphisms import get_realization
 
 
 @dataclass
@@ -33,9 +32,6 @@ class CrystalGraph:
     nodes: dict = field(default_factory=dict)  # key -> (element, depth)
     edges: list = field(default_factory=list)  # (src key, color, dst key)
 
-    def sorted_keys(self):
-        return sorted(self.nodes, key=lambda k: (self.nodes[k][1], k))
-
     def out_edges(self):
         return {(src, i): dst for src, i, dst in self.edges}
 
@@ -47,11 +43,11 @@ def bfs(root, depth, realization=""):
     root_key = root.key()
     graph = CrystalGraph(realization=realization, depth=depth, root=root_key)
     graph.nodes[root_key] = (root, 0)
-    frontier = [(root_key, root)]  # (key, element): each key is computed once
+    frontier = [(root_key, root)]  # (key, element) in key order: each key is computed once
     incoming = set()
     for level in range(1, depth + 1):
-        nxt = []
-        for key, elem in sorted(frontier, key=lambda pair: pair[0]):
+        new = {}
+        for key, elem in frontier:
             for i in INDEX_SET:
                 child = elem.f(i)
                 if child is None:
@@ -62,9 +58,9 @@ def bfs(root, depth, realization=""):
                     raise RuntimeError("lowering operators must be injective")
                 incoming.add((i, ck))
                 if ck not in graph.nodes:
-                    graph.nodes[ck] = (child, level)
-                    nxt.append((ck, child))
-        frontier = nxt
+                    new.setdefault(ck, child)
+        frontier = sorted(new.items(), key=lambda pair: pair[0])
+        graph.nodes.update((ck, (child, level)) for ck, child in frontier)
     return graph
 
 
@@ -132,19 +128,20 @@ def kostant_partitions(a, b):
     return table[a][b]
 
 
-def _node_ids(keys):
-    return {key: f"n{pos}" for pos, key in enumerate(keys)}
+def _numbered(graph):
+    """Node ids in ``graph.nodes`` order, and edges sorted by source id *string*
+    (``"n10"`` before ``"n2"``), then color: the pinned export digests need it."""
+    ids = {key: f"n{pos}" for pos, key in enumerate(graph.nodes)}
+    return ids, sorted(graph.edges, key=lambda e: (ids[e[0]], e[1]))
 
 
 def to_dot(graph):
-    keys = graph.sorted_keys()
-    ids = _node_ids(keys)
+    ids, edges = _numbered(graph)
     lines = ["digraph crystal {", "  rankdir=TB;"]
-    for key in keys:
-        elem, _depth = graph.nodes[key]
+    for key, (elem, _depth) in graph.nodes.items():
         label = elem.text().replace('"', '\\"')
         lines.append(f'  {ids[key]} [label="{label}"];')
-    for src, i, dst in sorted(graph.edges, key=lambda e: (ids[e[0]], e[1])):
+    for src, i, dst in edges:
         style = "solid" if i == 1 else "dashed"
         lines.append(f"  {ids[src]} -> {ids[dst]} [label={i}, style={style}];")
     lines.append("}")
@@ -173,11 +170,9 @@ def _json_value(value, pad):
 
 
 def to_json(graph):
-    keys = graph.sorted_keys()
-    ids = _node_ids(keys)
+    ids, edge_list = _numbered(graph)
     nodes = []
-    for key in keys:
-        elem, depth = graph.nodes[key]
+    for key, (elem, depth) in graph.nodes.items():
         w1, w2 = elem.wt()
         nodes.append(
             f'    {{\n      "id": "{ids[key]}",\n      "depth": {depth},\n'
@@ -188,7 +183,7 @@ def to_json(graph):
     edges = [
         f'    {{\n      "source": "{ids[src]}",\n      "i": {i},\n'
         f'      "target": "{ids[dst]}"\n    }}'
-        for src, i, dst in sorted(graph.edges, key=lambda e: (ids[e[0]], e[1]))
+        for src, i, dst in edge_list
     ]
     edge_text = "[\n" + ",\n".join(edges) + "\n  ]" if edges else "[]"
     return (
@@ -198,26 +193,9 @@ def to_json(graph):
     )
 
 
-# Realization registry used by the CLI and the verification suites.
-REALIZATIONS = {
-    "monomial": (highest_monomial, ExtMonomial.from_json),
-    "minf": (highest_minf, MinfElement.from_json),
-    "tableaux": (highest_tableau, MLTableau.from_json),
-    "cliff": (highest_cliff, CliffElement.from_json),
-}
-
-
-def _registered(realization):
-    """The ``(highest element, JSON reader)`` pair of a realization name."""
-    try:
-        return REALIZATIONS[realization]
-    except KeyError:
-        raise ValueError(f"unknown realization {realization!r}") from None
-
-
 def highest_element(realization):
-    return _registered(realization)[0]()
+    return get_realization(realization).highest()
 
 
 def element_from_json(realization, obj):
-    return _registered(realization)[1](obj)
+    return get_realization(realization).cls.from_json(obj)

@@ -17,20 +17,24 @@ and its inverse resolves the halved middle term with integer arithmetic:
 Changing the family parameters of a monomial element while keeping its
 count vector is itself an isomorphism onto the shifted family.
 
-:func:`convert` routes between any two realizations through M(infinity),
-the realization that carries the family parameters ``(p1, p2, r)``: one map
-into it and one map out of it per realization.  So ``minf`` to ``minf`` is
-the identity and ``minf`` to ``monomial`` is :meth:`MinfElement.to_monomial`
-for every family, while tableaux and ``cliff`` exist for (1, 1, 0) only.
-A raw monomial names its own family, so ``monomial`` to ``minf`` keeps the
-parameters too.
+:data:`REALIZATIONS`, the one registry of realization names (the graph
+module and the CLI read it too), gives each its element class, highest
+element, and maps into and out of M(infinity), the realization carrying the
+family parameters ``(p1, p2, r)``; :func:`convert` routes through it.  So
+``minf`` to ``minf`` is the identity and ``minf`` to ``monomial`` is
+:meth:`MinfElement.to_monomial` for every family, while tableaux and
+``cliff`` exist for (1, 1, 0) only.  A raw monomial names its own family,
+so ``monomial`` to ``minf`` keeps the parameters too.
 """
 
 from __future__ import annotations
 
-from .cliff import CliffElement
-from .minf import MinfElement, minf_from_monomial
-from .tableaux import MLTableau
+from collections import namedtuple
+
+from .cliff import CliffElement, highest_cliff
+from .minf import MinfElement, highest_minf, minf_from_monomial
+from .monomials import ExtMonomial, highest_monomial
+from .tableaux import MLTableau, highest_tableau
 
 
 def tableau_to_minf(tab):
@@ -94,26 +98,34 @@ def _monomial_to_minf(mono):
     ``p2`` are the u-totals of its extended weight, and the Y_1 factor
     carrying ``p1`` sits at ``r - 1``.  ``ValueError`` for a non-member."""
     (p1, _v1), (p2, _v2) = mono.wt_pairs()
+    if p1 < 1 or p2 < 1:
+        raise ValueError(f"not a member of any M(p1,p2;r;infinity): {mono.text()}")
     r = next((m + 1 for (i, m), (u, _v) in mono.factors() if i == 1 and u != 0), 0)
     return minf_from_monomial(mono, p1, p2, r)
 
 
-_TO_MINF = {
-    "minf": _identity,
-    "tableaux": tableau_to_minf,
-    "cliff": cliff_to_minf,
-    "monomial": _monomial_to_minf,
+Realization = namedtuple("Realization", "cls highest to_minf from_minf")
+REALIZATIONS = {  # the monomial exit looks ``to_monomial`` up at call time
+    "monomial": Realization(ExtMonomial, highest_monomial, _monomial_to_minf,
+                            lambda elem: elem.to_monomial()),
+    "minf": Realization(MinfElement, highest_minf, _identity, _identity),
+    "tableaux": Realization(MLTableau, highest_tableau, tableau_to_minf, minf_to_tableau),
+    "cliff": Realization(CliffElement, highest_cliff, cliff_to_minf, minf_to_cliff),
 }
 
-_FROM_MINF = {
-    "minf": _identity,
-    "tableaux": minf_to_tableau,
-    "cliff": minf_to_cliff,
-    "monomial": lambda elem: elem.to_monomial(),
-}
+
+def get_realization(name):
+    """The registry row of a realization name; ``ValueError`` for an unknown one."""
+    try:
+        return REALIZATIONS[name]
+    except KeyError:
+        raise ValueError(f"unknown realization {name!r}") from None
 
 
 def convert(elem, source, target):
-    """The image of ``elem``, an element of realization ``source``, in
-    realization ``target`` (names as in :data:`~g2crystal.graph.REALIZATIONS`)."""
-    return _FROM_MINF[target](_TO_MINF[source](elem))
+    """The image of ``elem``, an element of realization ``source``, in ``target``;
+    ``ValueError`` for an unknown name or an element not of the source's class."""
+    src, dst = get_realization(source), get_realization(target)
+    if not isinstance(elem, src.cls):
+        raise ValueError(f"{source} takes a {src.cls.__name__}, got {type(elem).__name__}")
+    return dst.from_minf(src.to_minf(elem))

@@ -14,7 +14,8 @@ from g2crystal.cartan import (
     simple_root,
     weight_to_roots,
 )
-from g2crystal.graph import REALIZATIONS, highest_element
+from g2crystal.graph import highest_element
+from g2crystal.isomorphisms import REALIZATIONS
 
 
 def test_cartan_constants():

@@ -171,13 +171,18 @@ def test_convert_highest_between_all(capsys, monkeypatch):
 
 
 def test_convert_rejects_non_member(capsys, monkeypatch):
-    bad = json.dumps([{"i": 1, "m": -1, "u": 1, "v": 1}, {"i": 2, "m": -2, "u": 1, "v": 0}])
-    code, _out, err = run(
-        capsys, monkeypatch,
-        ["convert", "--from", "monomial", "--to", "tableaux"],
-        stdin=bad,
-    )
-    assert code == 2 and "not a member" in err
+    for factors in (
+        [{"i": 1, "m": -1, "u": 1, "v": 1}, {"i": 2, "m": -2, "u": 1, "v": 0}],
+        [],  # u-totals (0, 0): outside every family M(p1,p2;r;infinity)
+        [{"i": 1, "m": 0, "u": 1, "v": 0}],  # u-totals (1, 0)
+    ):
+        code, _out, err = run(
+            capsys, monkeypatch,
+            ["convert", "--from", "monomial", "--to", "tableaux"],
+            stdin=json.dumps(factors),
+        )
+        assert code == 2 and "not a member" in err and "must be positive" not in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_convert_shifted_minf_keeps_parameters(capsys, monkeypatch):

@@ -21,6 +21,7 @@ from g2crystal.graph import (
     to_json,
     weight_census,
 )
+from g2crystal.isomorphisms import convert
 from g2crystal.minf import MinfElement, highest_minf
 from g2crystal.monomials import ExtMonomial, highest_monomial
 from g2crystal.tableaux import highest_tableau
@@ -172,7 +173,7 @@ def test_golden_exports(name, realization, fmt):
 def _reference_payload(graph):
     """The payload the JSON export handed to the stdlib encoder before it was
     written from templates (the export's reference)."""
-    keys = graph.sorted_keys()
+    keys = sorted(graph.nodes, key=lambda k: (graph.nodes[k][1], k))
     ids = {key: f"n{pos}" for pos, key in enumerate(keys)}
     nodes = []
     for key in keys:
@@ -233,6 +234,10 @@ def test_highest_element_rejects_unknown():
         highest_element("nope")
     with pytest.raises(ValueError, match="unknown realization"):
         element_from_json("nope", {})
+    with pytest.raises(ValueError, match="unknown realization"):
+        convert(highest_minf(), "nope", "minf")
+    with pytest.raises(ValueError, match="unknown realization"):
+        convert(highest_minf(), "minf", "nope")
 
 
 def test_bfs_rejects_non_injective_lowering_under_optimize():

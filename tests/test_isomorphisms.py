@@ -11,6 +11,7 @@ from g2crystal.graph import bfs
 from g2crystal.isomorphisms import (
     cliff_to_minf,
     cliff_to_tableau,
+    convert,
     minf_to_cliff,
     minf_to_tableau,
     shift_params,
@@ -18,6 +19,7 @@ from g2crystal.isomorphisms import (
     tableau_to_minf,
 )
 from g2crystal.minf import MinfElement, highest_minf, minf_from_monomial
+from g2crystal.monomials import ExtMonomial
 from g2crystal.tableaux import MLTableau, highest_tableau
 
 from conftest import EXAMPLE_COUNTS, EXAMPLE_KS
@@ -126,3 +128,15 @@ def test_shift_isomorphism(example_monomial):
     assert shift_params(moved, 1, 1, 0) == top
     example = minf_from_monomial(example_monomial)
     assert shift_params(example, 2, 3, 5).wt() == (-5, -1)
+
+
+@pytest.mark.parametrize(
+    "elem, source",
+    [(MinfElement(b2=1, p1=2), "tableaux"), (MLTableau(), "minf"), (ExtMonomial(), "cliff")],
+    ids=["minf-as-tableaux", "tableau-as-minf", "monomial-as-cliff"],
+)
+def test_convert_rejects_an_element_of_the_wrong_class(elem, source):
+    """No silent coercion and no ``AttributeError``: the source's class is checked."""
+    for target in ("minf", "tableaux", "cliff", "monomial"):
+        with pytest.raises(ValueError, match=f"^{source} takes a "):
+            convert(elem, source, target)

@@ -1,5 +1,6 @@
 """Package-wide guards on how the source is built: the signature rules run
-through one live ``signature`` method, and no invariant rests on ``assert``."""
+through one live ``signature`` method, no invariant rests on ``assert``, and
+the realization names are registered in one table."""
 
 from __future__ import annotations
 
@@ -34,14 +35,32 @@ def test_signature_rule_reads_signature(cls, method, i, monkeypatch):
     assert i in calls
 
 
-def test_no_assert_statements_in_the_package():
-    """Invariants raise real exceptions: ``python -O`` strips ``assert``."""
+def _package_nodes():
+    """``(file name, node)`` for every AST node of ``g2crystal/*.py``."""
     paths = sorted(Path(g2crystal.__file__).parent.glob("*.py"))
     assert paths
-    found = [
-        f"{path.name}:{node.lineno}"
+    return [
+        (path.name, node)
         for path in paths
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Assert)
     ]
+
+
+def test_no_assert_statements_in_the_package():
+    """Invariants raise real exceptions: ``python -O`` strips ``assert``."""
+    found = [f"{name}:{node.lineno}" for name, node in _package_nodes()
+             if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_one_realization_registry():
+    """Exactly one dict display is keyed by all four realization names, so
+    names, classes, highest elements and routes cannot drift apart."""
+    names = {"monomial", "minf", "tableaux", "cliff"}
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _package_nodes()
+        if isinstance(node, ast.Dict)
+        and names <= {k.value for k in node.keys if isinstance(k, ast.Constant)}
+    ]
+    assert len(found) == 1, found

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from g2crystal.cartan import INDEX_SET
 from g2crystal.cli import main
-from g2crystal.graph import REALIZATIONS, highest_element
-from g2crystal.isomorphisms import convert
+from g2crystal.graph import highest_element
+from g2crystal.isomorphisms import REALIZATIONS, convert
 
 NAMES = sorted(REALIZATIONS)
 OPS = ("f1", "f2", "e1", "e2")
