@@ -100,7 +100,7 @@ def _monomial_to_minf(mono):
     (p1, _v1), (p2, _v2) = mono.wt_pairs()
     if p1 < 1 or p2 < 1:
         raise ValueError(f"not a member of any M(p1,p2;r;infinity): {mono.text()}")
-    r = next((m + 1 for (i, m), (u, _v) in mono.factors() if i == 1 and u != 0), 0)
+    r = next((m + 1 for i, m, u, _v in mono.key() if i == 1 and u != 0), 0)
     return minf_from_monomial(mono, p1, p2, r)
 
 

@@ -9,8 +9,9 @@ Elements are stored in the canonical product form
 
 with seven nonnegative counts (``b0 <= 1``) and family parameters
 ``(p1, p2, r)``; the defaults ``(1, 1, 0)`` give M(infinity) proper.  The
-``X`` change of variables expands into ``Y`` variables via
-:func:`x_monomial`, and membership of a raw monomial is decided by the
+``X`` change of variables is one table, ``_X_TO_Y``, that lists each
+letter's ``Y`` factors as ``(i, offset, power)`` rows; :func:`x_monomial`
+and ``to_monomial`` read it, and membership of a raw monomial is decided by the
 support shape and three conditions on the exponents, which
 :func:`minf_from_monomial` checks while it inverts the change of variables.
 
@@ -40,34 +41,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
-from .cartan import PAIR_ZERO, CountVector, check_index, pair_add, pairing, reduce_signature
-from .monomials import ExtMonomial
+from .cartan import CountVector, check_index, pairing, reduce_signature
+from .monomials import ExtMonomial, _build
+
+
+# The X -> Y change of variables: X_letter(m)^(u,v) is the product of
+# Y_i(m + offset)^(power*u, power*v) over the letter's rows (i, offset, power).
+_X_TO_Y = {
+    "1": ((1, 0, 1),),
+    "2": ((2, 0, 1), (1, 1, -1)),
+    "3": ((1, 1, 2), (2, 1, -1)),
+    "0": ((1, 1, 1), (1, 2, -1)),
+    "3b": ((2, 1, 1), (1, 2, -2)),
+    "2b": ((1, 2, 1), (2, 2, -1)),
+    "1b": ((1, 3, -1),),
+}
 
 
 def x_monomial(letter, m, u, v):
     """Expand ``X_letter(m)^(u,v)`` into Y-variables."""
-    return ExtMonomial(_x_exponents(letter, m, u, v))
-
-
-def _x_exponents(letter, m, u, v):
-    """Y-exponent map of ``X_letter(m)^(u,v)``, zero pairs included."""
-    if letter == "1":
-        exp = {(1, m): (u, v)}
-    elif letter == "2":
-        exp = {(2, m): (u, v), (1, m + 1): (-u, -v)}
-    elif letter == "3":
-        exp = {(1, m + 1): (2 * u, 2 * v), (2, m + 1): (-u, -v)}
-    elif letter == "0":
-        exp = {(1, m + 1): (u, v), (1, m + 2): (-u, -v)}
-    elif letter == "3b":
-        exp = {(2, m + 1): (u, v), (1, m + 2): (-2 * u, -2 * v)}
-    elif letter == "2b":
-        exp = {(1, m + 2): (u, v), (2, m + 2): (-u, -v)}
-    elif letter == "1b":
-        exp = {(1, m + 3): (-u, -v)}
-    else:
+    if letter not in _X_TO_Y:
         raise ValueError(f"unknown X letter {letter!r}")
-    return exp
+    return ExtMonomial({(i, m + offset): (power * u, power * v)
+                        for i, offset, power in _X_TO_Y[letter]})
 
 
 @dataclass(frozen=True)
@@ -112,13 +108,9 @@ class MinfElement(CountVector):
         ]
 
     def to_monomial(self):
-        exp = {}
-        for letter, m, u, v in self.x_factors():
-            for pos, pair in _x_exponents(letter, m, u, v).items():
-                exp[pos] = pair_add(exp.get(pos, PAIR_ZERO), pair)
-        return ExtMonomial._canonical(
-            {pos: pair for pos, pair in exp.items() if pair != PAIR_ZERO}
-        )
+        return _build({}, [((i, m + offset), (power * u, power * v))
+                           for letter, m, u, v in self.x_factors()
+                           for i, offset, power in _X_TO_Y[letter]])
 
     # -- structure maps (closed forms on the counts) -------------------------
 
@@ -245,7 +237,7 @@ def _member_counts(monomial, p1, p2, r):
         (2, r): 0,
         (2, r + 1): 0,
     }
-    for (i, m) in monomial.support():
+    for i, m, _u, _v in monomial.key():
         if (i, m) not in allowed:
             return None
     a = {}

@@ -16,6 +16,11 @@ pass over the canonical key, which is sorted by ``(i, m)``: the sum through
 position ``m`` holds on ``[m, next support position - 1]``, the empty sum
 holds at ``min support - 1`` and the total at ``max support + 1``.
 
+One builder, ``_build``, makes every monomial: the constructor, products,
+inverses, the operators (which add the three factors of ``A_i(m)^{+-1}``
+directly), JSON and the M(infinity) expansion.  The key it sorts is the one
+view that text, JSON and membership read.
+
 The crystal zero is represented by ``None``; it marks the absence of an
 edge, never an error.
 """
@@ -30,8 +35,6 @@ from .cartan import (
     INDEX_SET,
     PAIR_ZERO,
     check_index,
-    pair_add,
-    pair_neg,
     read_json_ints,
 )
 
@@ -46,44 +49,23 @@ class ExtMonomial:
 
     Exponents are stored as a map ``(i, m) -> (u, v)`` with all zero pairs
     erased, and as the key: the sorted tuple of ``(i, m, u, v)``, which
-    equality, hashing, :meth:`key` and :meth:`scan` read.  Instances are
+    equality, hashing, :meth:`scan`, text and JSON read.  Instances are
     immutable; the operators return new monomials.
     """
 
     __slots__ = ("_exp", "_key")
 
     def __init__(self, exponents=None):
-        exp = {}
-        if exponents:
-            for (i, m), pair in dict(exponents).items():
-                u, v = pair
-                check_index(i)
-                if type(m) is not int or type(u) is not int or type(v) is not int:
-                    raise ValueError(f"Y_{i}({m})^{pair}: position and exponents must be ints")
-                if u or v:
-                    exp[(i, m)] = (u, v)
-        self._exp = exp
-        self._key = tuple(sorted([(i, m, u, v) for (i, m), (u, v) in exp.items()]))
-
-    @classmethod
-    def _canonical(cls, exp):
-        """Wrap an exponent map that is already canonical (int positions and
-        pairs, index in the index set, no zero pairs), skipping validation.
-        The map is owned by the new monomial afterwards."""
-        mono = object.__new__(cls)
-        mono._exp = exp
-        mono._key = tuple(sorted([(i, m, u, v) for (i, m), (u, v) in exp.items()]))
-        return mono
+        factors = dict(exponents or {}).items()
+        for (i, m), (u, v) in factors:
+            check_index(i)
+            if type(m) is not int or type(u) is not int or type(v) is not int:
+                raise ValueError(f"Y_{i}({m})^({u!r}, {v!r}): position and exponents must be ints")
+        canon = _build({}, factors)
+        self._exp, self._key = canon._exp, canon._key
 
     def exponent(self, i, m):
         return self._exp.get((i, m), PAIR_ZERO)
-
-    def support(self):
-        return [(i, m) for i, m, _u, _v in self._key]
-
-    def factors(self):
-        """Factors as ``((i, m), (u, v))`` sorted by variable, read off the key."""
-        return [((i, m), (u, v)) for i, m, u, v in self._key]
 
     def key(self):
         return self._key
@@ -98,19 +80,10 @@ class ExtMonomial:
         return f"ExtMonomial({self.text()!r})"
 
     def __mul__(self, other):
-        exp = dict(self._exp)
-        for pos, (u, v) in other._exp.items():
-            if pos in exp:
-                pu, pv = exp[pos]
-                u, v = u + pu, v + pv
-                if not u and not v:
-                    del exp[pos]
-                    continue
-            exp[pos] = (u, v)
-        return ExtMonomial._canonical(exp)
+        return _build(self._exp, other._exp.items())
 
     def inverse(self):
-        return ExtMonomial._canonical({pos: pair_neg(pair) for pos, pair in self._exp.items()})
+        return _build({}, ((pos, (-u, -v)) for pos, (u, v) in self._exp.items()))
 
     # -- structure maps -------------------------------------------------
 
@@ -181,53 +154,72 @@ class ExtMonomial:
         res = self.scan(i)
         if res.phi_pair == PAIR_ZERO:
             return None
-        return self * a_monomial(i, res.m_f, -1)
+        return _build(self._exp, _a_factors(i, res.m_f, -1))
 
     def e(self, i):
         res = self.scan(i)
         if res.eps_pair == PAIR_ZERO:
             return None
-        return self * a_monomial(i, res.m_e, +1)
+        return _build(self._exp, _a_factors(i, res.m_e, 1))
 
     # -- serialization ---------------------------------------------------
 
     def text(self):
-        if not self._exp:
-            return "1"
-        parts = [f"Y_{i}({m})^({u},{v})" for (i, m), (u, v) in self.factors()]
-        return " ".join(parts)
+        return " ".join(f"Y_{i}({m})^({u},{v})" for i, m, u, v in self._key) or "1"
 
     def to_json(self):
-        return [
-            {"i": i, "m": m, "u": u, "v": v} for (i, m), (u, v) in self.factors()
-        ]
+        return [{"i": i, "m": m, "u": u, "v": v} for i, m, u, v in self._key]
 
     @classmethod
     def from_json(cls, obj):
         if not isinstance(obj, list):
             raise ValueError(f"expected a JSON array of factors, got {type(obj).__name__}")
-        exp = {}
-        for rec in obj:
-            rec = read_json_ints(rec, _FACTOR_KEYS)
-            pos = (rec["i"], rec["m"])
-            exp[pos] = pair_add(exp.get(pos, PAIR_ZERO), (rec["u"], rec["v"]))
-        return cls(exp)
+        recs = [read_json_ints(rec, _FACTOR_KEYS) for rec in obj]
+        for rec in recs:
+            check_index(rec["i"])
+        return _build({}, (((rec["i"], rec["m"]), (rec["u"], rec["v"])) for rec in recs))
+
+
+def _build(base, factors):
+    """The canonical monomial ``base * prod factors``: ``base`` is a zero-free
+    exponent map, left unchanged, and ``factors`` yields ``((i, m), (u, v))``
+    of checked ints.  The only code that adds pairs, drops zeros and sorts."""
+    exp = dict(base)
+    for pos, (u, v) in factors:
+        if pos in exp:
+            pu, pv = exp[pos]
+            u, v = u + pu, v + pv
+        if u or v:
+            exp[pos] = (u, v)
+        else:
+            exp.pop(pos, None)
+    mono = object.__new__(ExtMonomial)
+    mono._exp = exp
+    mono._key = tuple(sorted([(i, m, u, v) for (i, m), (u, v) in exp.items()]))
+    return mono
+
+
+# A_i(m) is the product of Y_j(m + offset)^(0, power) over its rows (j, offset, power).
+_A_ROWS = {
+    i: ((i, 0, 1), (i, 1, 1), *((j, C_SHIFT[(j, i)], CARTAN[(j, i)]) for j in INDEX_SET if j != i))
+    for i in INDEX_SET
+}
+
+
+def _a_factors(i, m, sign):
+    return [((j, m + offset), (0, sign * power)) for j, offset, power in _A_ROWS[i]]
 
 
 def a_monomial(i, m, sign=1):
-    """The monomial ``A_i(m)^sign`` in the c_12 = 1, c_21 = 0 convention.
+    """The monomial ``A_i(m)^sign``, sign 1 or -1, in the c_12 = 1, c_21 = 0 convention.
 
     A_1(m) = Y_1(m)^(0,1) Y_1(m+1)^(0,1) Y_2(m)^(0,-1)
     A_2(m) = Y_2(m)^(0,1) Y_2(m+1)^(0,1) Y_1(m+1)^(0,-3)
     """
-    if type(i) is not int or i not in INDEX_SET or type(m) is not int:
-        raise ValueError(f"A_i(m) needs i in (1, 2) and an int m, got i={i!r}, m={m!r}")
-    s = 1 if sign > 0 else -1
-    exp = {(i, m): (0, s), (i, m + 1): (0, s)}
-    for j in INDEX_SET:
-        if j != i:
-            exp[(j, m + C_SHIFT[(j, i)])] = (0, s * CARTAN[(j, i)])
-    return ExtMonomial._canonical(exp)
+    check_index(i)
+    if type(m) is not int or type(sign) is not int or sign not in (1, -1):
+        raise ValueError(f"A_i(m)^sign needs an int m and sign 1 or -1, got m={m!r}, sign={sign!r}")
+    return _build({}, _a_factors(i, m, sign))
 
 
 def highest_monomial(p1=1, p2=1, r=0):

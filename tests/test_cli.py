@@ -266,6 +266,9 @@ def test_tableau_with_two_zeros_rejected(capsys, monkeypatch, argv):
     assert err.count("\n") == 1 and "b0 must be 0 or 1, got 2" in err
 
 
+_BAD_INDEX = ('[{"i": 3, "m": 0, "u": 1, "v": 0}]', '[{"i": 0, "m": 0, "u": 1, "v": 0}]')
+
+
 @pytest.mark.parametrize("command", ["apply", "convert"])
 @pytest.mark.parametrize(
     ("realization", "stdin"),
@@ -283,6 +286,7 @@ def test_tableau_with_two_zeros_rejected(capsys, monkeypatch, argv):
         ("monomial", '[{"i": 1, "m": 0.5, "u": 1, "v": 0}]'),
         pytest.param("monomial", "[" * 100000, id="monomial-deep-array"),
         pytest.param("minf", '{"b2": ' * 50000, id="minf-deep-object"),
+        *(("monomial", stdin) for stdin in _BAD_INDEX),
     ],
 )
 def test_malformed_element_json_rejected(capsys, monkeypatch, command, realization, stdin):
@@ -293,6 +297,8 @@ def test_malformed_element_json_rejected(capsys, monkeypatch, command, realizati
     code, out, err = run(capsys, monkeypatch, argv, stdin=stdin)
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("g2crystal: ")
+    if stdin in _BAD_INDEX:
+        assert "index must be 1 or 2" in err
 
 
 @pytest.mark.parametrize("command", ["apply", "convert"])

@@ -16,7 +16,7 @@ from g2crystal.minf import (
     x_monomial,
 )
 from g2crystal.monomials import ExtMonomial, highest_monomial
-from g2crystal.verify import random_monomial
+from g2crystal.verify import _SHIFT_GRID, random_monomial
 
 from conftest import (
     DEPTH2_COUNTS,
@@ -69,9 +69,55 @@ def _random_vector(rng):
 
 def test_x_monomial_expansions():
     assert x_monomial("1", -1, 2, 0) == ExtMonomial({(1, -1): (2, 0)})
+    assert x_monomial("2", -1, 1, 2) == ExtMonomial({(2, -1): (1, 2), (1, 0): (-1, -2)})
     assert x_monomial("3", -1, 0, 1) == ExtMonomial({(1, 0): (0, 2), (2, 0): (0, -1)})
     assert x_monomial("0", -1, 0, 1) == ExtMonomial({(1, 0): (0, 1), (1, 1): (0, -1)})
+    assert x_monomial("3b", 2, 0, 3) == ExtMonomial({(2, 3): (0, 3), (1, 4): (0, -6)})
+    assert x_monomial("2b", 0, 1, -1) == ExtMonomial({(1, 2): (1, -1), (2, 2): (-1, 1)})
     assert x_monomial("1b", -1, 0, 1) == ExtMonomial({(1, 2): (0, -1)})
+    assert x_monomial("2", 4, 0, 0) == ExtMonomial()
+    for letter in ("4", "3low", "", None):
+        with pytest.raises(ValueError, match="unknown X letter"):
+            x_monomial(letter, 0, 0, 1)
+
+
+# The if-chain substitution and expansion that the ``_X_TO_Y`` table
+# replaced, kept as the reference; the key is sorted here, not by the builder.
+def _reference_x_exponents(letter, m, u, v):
+    if letter == "1":
+        exp = {(1, m): (u, v)}
+    elif letter == "2":
+        exp = {(2, m): (u, v), (1, m + 1): (-u, -v)}
+    elif letter == "3":
+        exp = {(1, m + 1): (2 * u, 2 * v), (2, m + 1): (-u, -v)}
+    elif letter == "0":
+        exp = {(1, m + 1): (u, v), (1, m + 2): (-u, -v)}
+    elif letter == "3b":
+        exp = {(2, m + 1): (u, v), (1, m + 2): (-2 * u, -2 * v)}
+    elif letter == "2b":
+        exp = {(1, m + 2): (u, v), (2, m + 2): (-u, -v)}
+    elif letter == "1b":
+        exp = {(1, m + 3): (-u, -v)}
+    else:
+        raise ValueError(f"unknown X letter {letter!r}")
+    return exp
+
+
+def _reference_key(elem):
+    exp = {}
+    for letter, m, u, v in elem.x_factors():
+        for pos, (du, dv) in _reference_x_exponents(letter, m, u, v).items():
+            pu, pv = exp.get(pos, (0, 0))
+            exp[pos] = (pu + du, pv + dv)
+    return tuple(sorted(pos + pair for pos, pair in exp.items() if pair != (0, 0)))
+
+
+def test_expansion_matches_if_chain_reference():
+    graph = bfs(highest_minf(), 10, "minf")
+    for elem, _depth in graph.nodes.values():
+        for params in ((1, 1, 0),) + _SHIFT_GRID:
+            moved = elem.with_params(*params)
+            assert moved.to_monomial().key() == _reference_key(moved), (elem, params)
 
 
 def test_membership():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2crystal.cartan import INDEX_SET, PAIR_ZERO, pair_add, pair_neg, simple_root, weight_sub
+from g2crystal import monomials
 from g2crystal.graph import bfs
 from g2crystal.monomials import (
     ExtMonomial,
@@ -148,8 +149,7 @@ def test_ordinary_monomials_embed():
     rng = random.Random(5)
     for _ in range(500):
         mono = _random_monomial(rng, keep_u_zero=True)
-        ints = {pos: v for pos, (_u, v) in
-                ((pos, mono.exponent(*pos)) for pos in mono.support())}
+        ints = {(j, m): v for j, m, _u, v in mono.key()}
         for i in INDEX_SET:
             phi, eps, m_f, m_e = _classic_phi_eps(ints, i)
             res = mono.scan(i)
@@ -157,8 +157,7 @@ def test_ordinary_monomials_embed():
             assert (res.m_f, res.m_e) == (m_f, m_e)
             for img in (mono.f(i), mono.e(i)):
                 if img is not None:
-                    assert all(u == 0 for (u, _v) in
-                               (img.exponent(*pos) for pos in img.support()))
+                    assert all(u == 0 for _j, _m, u, _v in img.key())
 
 
 def test_serialization():
@@ -183,7 +182,7 @@ def test_canonical_form_drops_zero_exponents():
 def _dense_scan(mono, i):
     """Reference scan: prefix sums at every position of the dense range
     ``[min support - 1, max support + 1]``, arg-max read off the full list."""
-    ms = [m for (j, m) in mono.support() if j == i]
+    ms = [m for j, m, _u, _v in mono.key() if j == i]
     if not ms:
         return ScanResult((0, 0), (0, 0), None, None)
     cur, values = (0, 0), []
@@ -213,10 +212,10 @@ def test_fast_constructor_matches_validating_constructor():
     for _ in range(1000):
         left, right = _random_monomial(rng), _random_monomial(rng)
         product = {}
-        for pos, (u, v) in left.factors() + right.factors():
-            pu, pv = product.get(pos, (0, 0))
-            product[pos] = (pu + u, pv + v)
-        negated = {pos: (-u, -v) for pos, (u, v) in left.factors()}
+        for i, m, u, v in left.key() + right.key():
+            pu, pv = product.get((i, m), (0, 0))
+            product[(i, m)] = (pu + u, pv + v)
+        negated = {(i, m): (-u, -v) for i, m, u, v in left.key()}
         for fast, slow in (
             (left * right, ExtMonomial(product)),
             (left.inverse(), ExtMonomial(negated)),
@@ -226,8 +225,8 @@ def test_fast_constructor_matches_validating_constructor():
     for i in INDEX_SET:
         for m in range(-3, 4):
             up, down = a_monomial(i, m), a_monomial(i, m, -1)
-            slow_up = ExtMonomial(dict(up.factors()))
-            slow_down = ExtMonomial({pos: (-u, -v) for pos, (u, v) in up.factors()})
+            slow_up = ExtMonomial({(j, n): (u, v) for j, n, u, v in up.key()})
+            slow_down = ExtMonomial({(j, n): (-u, -v) for j, n, u, v in up.key()})
             assert up == slow_up and hash(up) == hash(slow_up)
             assert down == slow_down and hash(down) == hash(slow_down)
 
@@ -295,7 +294,7 @@ def _reference_key(exp):
 def _assert_core_matches_reference(mono, other):
     # scan relies on the key being sorted, whichever constructor built it
     exp = dict(mono._exp)
-    assert mono.key() == ExtMonomial(exp).key() == ExtMonomial._canonical(exp).key()
+    assert mono.key() == ExtMonomial(exp).key() == monomials._build({}, exp.items()).key()
     assert mono.key() == _reference_key(exp)
     for i in INDEX_SET:
         assert mono.scan(i) == _reference_scan(mono, i), (mono.text(), i)
@@ -367,3 +366,53 @@ def test_scan_matches_reference_on_arbitrary_maps(exp):
     mono = ExtMonomial(exp)
     for i in INDEX_SET:
         assert mono.scan(i) == _reference_scan(mono, i) == _dense_scan(mono, i)
+
+
+def test_a_monomial_takes_only_signs_one_and_minus_one():
+    assert a_monomial(2, 1, 1) * a_monomial(2, 1, -1) == ExtMonomial()
+    for sign in (0, -5, 2, 0.5, True, None):
+        with pytest.raises(ValueError, match="sign 1 or -1"):
+            a_monomial(1, 0, sign)
+    for i in (0, 3, True, 1.0):
+        with pytest.raises(ValueError, match="index must be 1 or 2"):
+            a_monomial(i, 0)
+
+
+def test_operators_build_without_a_monomial_or_product(monkeypatch):
+    """``f``/``e`` add the three factors of ``A_i(m)^{-+1}`` through the
+    builder: with ``a_monomial`` and ``__mul__`` patched to raise, they still
+    equal ``mono * a_monomial(i, m, -+1)``, computed before patching."""
+    monos = [mono for mono, _depth in bfs(highest_monomial(), 10, "monomial").nodes.values()]
+    rng = random.Random(24)
+    monos += [random_monomial(rng) for _ in range(2000)]
+    expected = []
+    for mono in monos:
+        for i in INDEX_SET:
+            res = mono.scan(i)
+            down = None if res.m_f is None else mono * a_monomial(i, res.m_f, -1)
+            up = None if res.m_e is None else mono * a_monomial(i, res.m_e, 1)
+            expected.append((down, up))
+
+    def refuse(*_args):
+        raise AssertionError("f/e build a throwaway A-monomial or product")
+
+    monkeypatch.setattr(monomials, "a_monomial", refuse)
+    monkeypatch.setattr(ExtMonomial, "__mul__", refuse)
+    got = [(mono.f(i), mono.e(i)) for mono in monos for i in INDEX_SET]
+    assert got == expected
+    assert sum(down is not None for down, _up in got) > len(monos)
+
+
+def test_from_json_multiplies_repeated_factors():
+    def rec(i, m, u, v):
+        return {"i": i, "m": m, "u": u, "v": v}
+
+    pair = [rec(1, 2, 1, 2), rec(2, 0, 0, 1), rec(1, 2, 3, -5)]
+    assert ExtMonomial.from_json(pair) == ExtMonomial({(1, 2): (4, -3), (2, 0): (0, 1)})
+    assert ExtMonomial.from_json(pair + [rec(1, 2, -4, 3)]) == ExtMonomial({(2, 0): (0, 1)})
+    cancelling = [rec(1, 2, 1, 2), rec(1, 2, -1, -2)]
+    assert ExtMonomial.from_json(cancelling) == ExtMonomial()
+    assert ExtMonomial.from_json(cancelling).key() == ()
+    for i in (0, 3):
+        with pytest.raises(ValueError, match="index must be 1 or 2"):
+            ExtMonomial.from_json([rec(i, 0, 1, 0)])

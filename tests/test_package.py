@@ -1,6 +1,7 @@
 """Package-wide guards on how the source is built: the signature rules run
-through one live ``signature`` method, no invariant rests on ``assert``, and
-the realization names are registered in one table."""
+through one live ``signature`` method, no invariant rests on ``assert``,
+the realization names are registered in one table, and one builder sorts
+every monomial key."""
 
 from __future__ import annotations
 
@@ -62,5 +63,19 @@ def test_one_realization_registry():
         for name, node in _package_nodes()
         if isinstance(node, ast.Dict)
         and names <= {k.value for k in node.keys if isinstance(k, ast.Constant)}
+    ]
+    assert len(found) == 1, found
+
+
+def test_one_monomial_key_builder():
+    """``monomials.py`` calls ``sorted`` once, in the builder, so no second
+    path can add exponent pairs or order a key differently."""
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _package_nodes()
+        if name == "monomials.py"
+        and isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "sorted"
     ]
     assert len(found) == 1, found
