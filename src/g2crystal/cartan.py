@@ -23,7 +23,8 @@ Elements of M(infinity) and marginally large tableaux are both stored as
 the seven counts ``(b2, b3, b0, b3bar, b2bar, b1bar, b3low)``: nonnegative
 integers with ``b0 <= 1``.  :class:`CountVector` holds that storage, its
 validation (:func:`check_counts`, shared with the tensor-product counts)
-and its JSON reader; :func:`reduce_signature` is the (0,1) cancellation
+and its JSON reader (the JSON is the fields, omitted ones taken from the
+highest element); :func:`reduce_signature` is the (0,1) cancellation
 that every signature rule ends with.  It works on runs of
 equal symbols, so a signature rule costs the same at any count.  The rules
 that build the run-length signature words and act on them stay with each
@@ -46,7 +47,7 @@ All of them are immutable values; everything here is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 INDEX_SET = (1, 2)
 
@@ -181,7 +182,4 @@ class CountVector:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(**read_json_ints(obj, {f.name: f.default for f in fields(cls)}))
-
-
-COUNT_FIELDS = tuple(f.name for f in fields(CountVector))
+        return cls(**read_json_ints(obj, vars(cls())))

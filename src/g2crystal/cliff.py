@@ -34,7 +34,6 @@ from .cartan import CARTAN, check_counts, check_index, pairing, read_json_ints, 
 
 # Field name and factor index for each tensor slot, in tensor order.
 _SLOTS = (("k12bar", 1), ("k13bar", 2), ("k13", 1), ("k12", 2), ("k11", 1), ("k22", 2))
-_JSON_FIELDS = tuple(name for name, _index in _SLOTS)
 
 
 @dataclass(frozen=True)
@@ -124,13 +123,13 @@ class CliffElement:
         return "u∞ ⊗ " + " ⊗ ".join(f"b{idx}({-getattr(self, name)})" for name, idx in _SLOTS)
 
     def to_json(self):
-        return dict(zip(_JSON_FIELDS, self.ks()))
+        return dict(vars(self))
 
     @classmethod
     def from_json(cls, obj):
         """Read counts and require the chain, so non-members never enter
         through JSON; direct construction admits them for the closure suite."""
-        elem = cls(**read_json_ints(obj, dict.fromkeys(_JSON_FIELDS, 0)))
+        elem = cls(**read_json_ints(obj, vars(cls())))
         if not elem.is_member():
             raise ValueError(f"not in the realization: {elem.text()}")
         return elem

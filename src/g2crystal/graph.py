@@ -4,7 +4,9 @@ BFS works over any element obeying the crystal contract described in
 :mod:`~g2crystal.cartan` (``f``/``e``/``wt``/``key``/``text``).  Nodes are
 deduplicated by canonical key and each level is inserted in key order, so
 ``graph.nodes`` is the export order (depth, then key) and enumeration and
-both export formats are deterministic byte-for-byte.  Every lowering edge
+both export formats are deterministic byte-for-byte.  Edges are kept in
+discovery order, so each edge's source is the root or the target of an
+earlier edge; :func:`iso_check` reads them in that order.  Every lowering edge
 drops the weight by one simple root, hence a node's depth equals the height
 ``a + b`` of ``-(a*alpha_1 + b*alpha_2)``; the census and the Kostant
 partition oracle exploit that.  JSON export fills fixed templates, strings
@@ -30,7 +32,7 @@ class CrystalGraph:
     depth: int
     root: tuple
     nodes: dict = field(default_factory=dict)  # key -> (element, depth)
-    edges: list = field(default_factory=list)  # (src key, color, dst key)
+    edges: list = field(default_factory=list)  # (src key, color, dst key), discovery order
 
     def out_edges(self):
         return {(src, i): dst for src, i, dst in self.edges}
@@ -38,8 +40,8 @@ class CrystalGraph:
 
 def bfs(root, depth, realization=""):
     """All elements reachable from ``root`` by lowering words of length <= depth."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
+    if type(depth) is not int or depth < 0:
+        raise ValueError(f"depth must be nonnegative and an int, got {depth!r}")
     root_key = root.key()
     graph = CrystalGraph(realization=realization, depth=depth, root=root_key)
     graph.nodes[root_key] = (root, 0)
@@ -68,34 +70,20 @@ def iso_check(g, h):
     """Whether the unique root- and color-preserving digraph map between two
     equally deep crystal graphs exists and is a bijection.
 
-    Colored out-edges are deterministic, so the candidate map is forced by a
-    synchronized walk from the roots; no search is involved.
+    Colored out-edges are deterministic, so the candidate map is forced, and
+    one pass over ``g.edges`` in discovery order maps each source first.
     """
     if g.depth != h.depth:
         raise ValueError("graphs must be enumerated to the same depth")
-    g_out, h_out = g.out_edges(), h.out_edges()
     if len(g.edges) != len(h.edges):
         return False
+    h_out = h.out_edges()
     mapping = {g.root: h.root}
-    queue = [g.root]
-    while queue:
-        src = queue.pop()
-        for i in INDEX_SET:
-            if (src, i) not in g_out:
-                continue
-            dst = g_out[(src, i)]
-            img = h_out.get((mapping[src], i))
-            if img is None:
-                return False
-            if dst in mapping:
-                if mapping[dst] != img:
-                    return False
-            else:
-                mapping[dst] = img
-                queue.append(dst)
-    if len(mapping) != len(g.nodes) or len(set(mapping.values())) != len(h.nodes):
-        return False
-    return True
+    for src, i, dst in g.edges:
+        img = h_out.get((mapping.get(src), i))
+        if img is None or mapping.setdefault(dst, img) != img:
+            return False
+    return len(mapping) == len(g.nodes) and len(set(mapping.values())) == len(h.nodes)
 
 
 def weight_census(graph):
@@ -117,8 +105,8 @@ def kostant_partitions(a, b):
     positive roots of G2 (the weight multiplicity of the infinity crystal at
     that depth): the coefficient of ``x^a y^b`` in the product of
     ``1 / (1 - x^p y^q)`` over the positive roots ``(p, q)``, from one table."""
-    if a < 0 or b < 0:
-        raise ValueError("root coordinates must be nonnegative")
+    if not (type(a) is type(b) is int) or a < 0 or b < 0:
+        raise ValueError(f"root coordinates must be nonnegative and ints, got {(a, b)!r}")
     table = [[0] * (b + 1) for _ in range(a + 1)]
     table[0][0] = 1
     for p, q in POSITIVE_ROOTS:

@@ -39,7 +39,7 @@ that equivalence exhaustively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from .cartan import CountVector, check_index, pairing, reduce_signature
 from .monomials import ExtMonomial, _build
@@ -194,10 +194,8 @@ class MinfElement(CountVector):
         return " ".join(parts)
 
     def to_json(self):
-        return dict(zip(_JSON_FIELDS, self.counts() + self.params()))
+        return dict(vars(self))
 
-
-_JSON_FIELDS = tuple(f.name for f in fields(MinfElement))
 
 # Component owning the leftmost surviving 0 -> component f_i moves one unit
 # into; ``None`` is the X_1 body (no 0 survives).

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import (COUNT_FIELDS, CountVector, check_index, pairing, reduce_signature,
-                     roots_to_weight)
+from .cartan import CountVector, check_index, pairing, reduce_signature, roots_to_weight
 
 LETTER_NAMES = ("1", "2", "3", "0", "3b", "2b", "1b")
 L1, L2, L3, L0, L3B, L2B, L1B = range(7)
@@ -91,6 +90,9 @@ class MLTableau(CountVector):
         """Build from an explicit grid, validating the canonical shape."""
         if not row1 or not row2:
             raise ValueError("both rows must be non-empty")
+        for x in (*row1, *row2):
+            if type(x) is not int or not L1 <= x <= L1B:
+                raise ValueError(f"letters must be ints 0..6, got {x!r}")
         if list(row1) != sorted(row1):
             raise ValueError("row 1 must be weakly increasing")
         if row2[0] != L2 or any(x != L3 for x in row2[1:]):
@@ -99,15 +101,12 @@ class MLTableau(CountVector):
             raise ValueError("row 2 longer than row 1")
         if any(row1[c] >= row2[c] for c in range(len(row2))):
             raise ValueError("columns must increase strictly")
-        ones = sum(1 for x in row1 if x == L1)
-        if ones != len(row2) + 1:
+        n = [row1.count(x) for x in range(7)]
+        if n[L1] != len(row2) + 1:
             raise ValueError(
-                f"not marginally large: {ones} ones in row 1 over a row 2 of length {len(row2)}"
+                f"not marginally large: {n[L1]} ones in row 1 over a row 2 of length {len(row2)}"
             )
-        n = [0] * 7
-        for x in row1:
-            n[x] += 1
-        return cls(n[L2], n[L3], n[L0], n[L3B], n[L2B], n[L1B], len(row2) - 1)
+        return cls(*n[L2:], len(row2) - 1)
 
     # -- signature ------------------------------------------------------------
 
@@ -115,22 +114,20 @@ class MLTableau(CountVector):
         """The i-signature word of the far-eastern reading, as runs
         ``(symbol, (cells, units, first column), mult)``.
 
-        A unit whose symbols all agree gives one run over all its columns;
-        the two units that emit both symbols (letter 0 and the column of 1
-        over 2 under i = 1) occur once.  Symbol ``k`` of a run lies in the
-        box ``cells[k % len(cells)]`` of column ``first - k // len(cells)``.
+        Each symbol run of a unit's pattern gives one run over all the
+        unit's columns.  That is exact because a unit emitting both symbols
+        occurs at most once: letter 0 under i = 1 (``b0 <= 1``) and the one
+        column of 1 over 2, so no run of one copy abuts the next copy.
+        Symbol ``k`` of a run lies in the box ``cells[k % len(cells)]`` of
+        column ``first - k // len(cells)``.
         """
         check_index(i)
         col = self.b3low + 1 + self.b2 + self.b3 + self.b0 + self.b3bar + self.b2bar + self.b1bar
         sizes = (self.b1bar, self.b2bar, self.b3bar, self.b0, self.b3, self.b2, 1, self.b3low, 1)
         runs = []
         for pattern, units in zip(_SEGMENTS[i], sizes):
-            if len(pattern) == 1:
-                sym, cells = pattern[0]
+            for sym, cells in pattern:
                 runs.append((sym, (cells, units, col), units * len(cells)))
-            elif pattern:
-                for unit in range(units):
-                    runs += [(sym, (cells, 1, col - unit), len(cells)) for sym, cells in pattern]
             col -= units
         return runs
 
@@ -216,7 +213,7 @@ class MLTableau(CountVector):
         )
 
     def to_json(self):
-        return dict(zip(COUNT_FIELDS, self.counts()))
+        return dict(vars(self))
 
 
 def highest_tableau():

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -9,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from g2crystal.cartan import POSITIVE_ROOTS
+from g2crystal.cartan import INDEX_SET, POSITIVE_ROOTS
+from g2crystal.cliff import CliffElement
 from g2crystal.graph import (
     _json_value,
     bfs,
@@ -24,11 +27,12 @@ from g2crystal.graph import (
 from g2crystal.isomorphisms import convert
 from g2crystal.minf import MinfElement, highest_minf
 from g2crystal.monomials import ExtMonomial, highest_monomial
-from g2crystal.tableaux import highest_tableau
+from g2crystal.tableaux import MLTableau, highest_tableau
 
 from conftest import DEPTH2_COUNTS, DEPTH2_YFORMS
 
 GOLDEN = Path(__file__).parent / "golden"
+REALIZATIONS = ("monomial", "minf", "tableaux", "cliff")
 
 
 def test_bfs_depth_one():
@@ -90,6 +94,12 @@ def test_kostant_partitions():
         kostant_partitions(-1, 0)
 
 
+@pytest.mark.parametrize("depth", [-1, True, False, 2.0, "2", None])
+def test_bfs_depth_must_be_a_nonnegative_int(depth):
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        bfs(highest_minf(), depth, "minf")
+
+
 def _reference_kostant(a, b):
     """The direct recursion over the positive roots that the table replaced."""
 
@@ -113,8 +123,8 @@ def test_kostant_table_matches_recursion():
     for a in range(21):
         for b in range(21 - a):
             assert kostant_partitions(a, b) == _reference_kostant(a, b), (a, b)
-    for a, b in ((-1, 3), (2, -1)):
-        with pytest.raises(ValueError):
+    for a, b in ((-1, 3), (2, -1), (True, 1), (1, True), (2.0, 1), (1, 2.0), (None, 0)):
+        with pytest.raises(ValueError, match="must be nonnegative"):
             kostant_partitions(a, b)
 
 
@@ -131,6 +141,133 @@ def test_iso_check_detects_recoloring():
     src, i, dst = h.edges[-1]
     h.edges[-1] = (src, 3 - i, dst)
     assert not iso_check(g, h)
+
+
+def _reference_iso_check(g, h):
+    """The queue walk over ``out_edges`` that the single pass over
+    ``g.edges`` replaced, kept as the reference."""
+    if g.depth != h.depth:
+        raise ValueError("graphs must be enumerated to the same depth")
+    g_out, h_out = g.out_edges(), h.out_edges()
+    if len(g.edges) != len(h.edges):
+        return False
+    mapping = {g.root: h.root}
+    queue = [g.root]
+    while queue:
+        src = queue.pop()
+        for i in INDEX_SET:
+            if (src, i) not in g_out:
+                continue
+            dst = g_out[(src, i)]
+            img = h_out.get((mapping[src], i))
+            if img is None:
+                return False
+            if dst in mapping:
+                if mapping[dst] != img:
+                    return False
+            else:
+                mapping[dst] = img
+                queue.append(dst)
+    if len(mapping) != len(g.nodes) or len(set(mapping.values())) != len(h.nodes):
+        return False
+    return True
+
+
+def _mutated(graph, kind, rng):
+    """A copy of ``graph`` with one edge recoloured, two edge targets
+    swapped, or one edge redirected to a random node."""
+    edges = list(graph.edges)
+    k = rng.randrange(len(edges))
+    src, i, dst = edges[k]
+    if kind == "recolour":
+        edges[k] = (src, 3 - i, dst)
+    elif kind == "swap":
+        m = rng.randrange(len(edges))
+        edges[k], edges[m] = (src, i, edges[m][2]), (edges[m][0], edges[m][1], dst)
+    else:
+        edges[k] = (src, i, rng.choice(list(graph.nodes)))
+    return dataclasses.replace(graph, nodes=dict(graph.nodes), edges=edges)
+
+
+def _repeats_a_colour(graph):
+    """Whether some node has two out-edges of one colour: then ``graph`` is
+    no crystal graph, and no map onto one is an isomorphism."""
+    return len({(src, i) for src, i, _dst in graph.edges}) < len(graph.edges)
+
+
+def test_iso_check_matches_queue_reference():
+    """Equal results on all 16 ordered pairs of the four depth-7 graphs, and
+    on seeded mutations of either graph of each pair.  The one correction:
+    ``g.out_edges()`` keeps one of two same-coloured out-edges of a node, so
+    the reference can accept a first graph with a recoloured edge."""
+    graphs = [bfs(highest_element(name), 7, name) for name in REALIZATIONS]
+    rng = random.Random(14)
+    rejected = corrected = 0
+    for g in graphs:
+        for h in graphs:
+            assert iso_check(g, h) is _reference_iso_check(g, h) is True
+            for kind in ("recolour", "swap", "redirect"):
+                for _ in range(6):
+                    pair = (_mutated(g, kind, rng), h)
+                    for a, b in (pair, pair[::-1]):
+                        reference = _reference_iso_check(a, b)
+                        expected = reference and not _repeats_a_colour(a)
+                        assert iso_check(a, b) is expected, (kind, a.realization, b.realization)
+                        rejected += not expected
+                        corrected += reference != expected
+    assert rejected > 500 and corrected > 0
+
+
+def test_iso_check_rejects_two_out_edges_of_one_colour():
+    """Recolouring a node's 1-edge to 2 where its target also has a 2-edge
+    from elsewhere leaves a graph the queue reference calls isomorphic."""
+    g = bfs(highest_minf(), 4, "minf")
+    h = bfs(highest_minf(), 4, "minf")
+    into = {(dst, i) for _src, i, dst in g.edges}
+    k = next(k for k, (src, i, dst) in enumerate(g.edges) if i == 1 and (dst, 2) in into)
+    src, _i, dst = g.edges[k]
+    g.edges[k] = (src, 2, dst)
+    assert _reference_iso_check(g, h)
+    assert not iso_check(g, h)
+
+
+def test_iso_check_rejects_an_edge_before_its_source():
+    """Out of discovery order, an edge whose source is not yet mapped gives
+    ``False``, not :class:`KeyError`."""
+    g = bfs(highest_minf(), 3, "minf")
+    g.edges.insert(0, g.edges.pop())
+    assert not iso_check(g, bfs(highest_minf(), 3, "minf"))
+
+
+@pytest.mark.parametrize("name", REALIZATIONS)
+def test_bfs_lists_each_edge_after_its_source(name):
+    """The order ``iso_check`` reads: each edge's source is the root or the
+    target of an earlier edge."""
+    graph = bfs(highest_element(name), 8, name)
+    reached = {graph.root}
+    for src, _i, dst in graph.edges:
+        assert src in reached
+        reached.add(dst)
+    assert reached == set(graph.nodes)
+
+
+@pytest.mark.parametrize("cls", [MinfElement, MLTableau, CliffElement])
+def test_count_json_is_the_dataclass_fields(cls):
+    """``to_json`` lists every field in declaration order, ``from_json({})``
+    is the highest element, and JSON round-trips on the depth-8 graph."""
+    name = {MinfElement: "minf", MLTableau: "tableaux", CliffElement: "cliff"}[cls]
+    top = highest_element(name)
+    assert cls.from_json({}) == top == cls()
+    names = [f.name for f in dataclasses.fields(cls)]
+    top.to_json()[names[0]] = 5  # a copy: the element does not change
+    assert top == cls()
+    graph = bfs(top, 8, name)
+    for elem, _depth in graph.nodes.values():
+        obj = elem.to_json()
+        assert list(obj) == names
+        assert obj == dict(zip(names, elem.key()))
+        assert cls.from_json(obj) == elem
+        assert element_from_json(name, obj) == elem
 
 
 def test_iso_check_depth_mismatch():

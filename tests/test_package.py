@@ -1,7 +1,8 @@
 """Package-wide guards on how the source is built: the signature rules run
 through one live ``signature`` method, no invariant rests on ``assert``,
-the realization names are registered in one table, and one builder sorts
-every monomial key."""
+the realization names are registered in one table, one builder sorts
+every monomial key, and count elements write their JSON from their own
+fields."""
 
 from __future__ import annotations
 
@@ -79,3 +80,19 @@ def test_one_monomial_key_builder():
         and node.func.id == "sorted"
     ]
     assert len(found) == 1, found
+
+
+def test_count_json_reads_no_field_table():
+    """No module calls ``dataclasses.fields`` or binds ``COUNT_FIELDS`` or
+    ``_JSON_FIELDS``: count JSON is the instance fields, written one way."""
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _package_nodes()
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+        and any(alias.name == "fields" for alias in node.names)
+        or isinstance(node, ast.Attribute) and node.attr == "fields"
+        and isinstance(node.value, ast.Name) and node.value.id == "dataclasses"
+        or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        and node.id in ("COUNT_FIELDS", "_JSON_FIELDS")
+    ]
+    assert found == []

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from g2crystal.cartan import INDEX_SET, simple_root, weight_sub
+from g2crystal.cartan import INDEX_SET, reduce_signature, simple_root, weight_sub
 from g2crystal.isomorphisms import convert
 from g2crystal.tableaux import (
     EPS,
@@ -17,6 +17,7 @@ from g2crystal.tableaux import (
     L3B,
     LETTER_NAMES,
     PHI,
+    _SEGMENTS,
     MLTableau,
     highest_tableau,
 )
@@ -153,6 +154,17 @@ def test_from_rows_validation():
         MLTableau(b0=2)
     with pytest.raises(ValueError, match="nonnegative integers"):
         MLTableau(b3=True)
+    # letters outside the alphabet: -1 once read as 1b, 99 raised IndexError,
+    # and True passed for the letter 2
+    for row1, row2, bad in (
+        ([-1, L1, L1], [L2], "-1"),
+        ([L1, L1, 99], [L2], "99"),
+        ([L1, L1, True], [L2], "True"),
+        ([L1, L1], [True], "True"),
+        ([L1, L1, 2.0], [L2], "2.0"),
+    ):
+        with pytest.raises(ValueError, match=f"letters must be ints 0..6, got {bad}"):
+            MLTableau.from_rows(row1, row2)
 
 
 def test_weights():
@@ -288,6 +300,34 @@ def test_run_rule_matches_grid_reference():
             assert elem.phi(i) == eps + elem.wt()[i - 1], (counts, i)
             assert outcome(lambda: elem.f(i)) == outcome(lambda: _reference_f(elem, i, sig))
             assert outcome(lambda: elem.e(i)) == outcome(lambda: _reference_e(elem, i, sig))
+
+
+def _reference_signature_word(elem, i):
+    """The word with a single-symbol branch and one run per unit for
+    patterns of both symbols, which the one flattened emission replaced."""
+    col = elem.b3low + 1 + elem.b2 + elem.b3 + elem.b0 + elem.b3bar + elem.b2bar + elem.b1bar
+    sizes = (elem.b1bar, elem.b2bar, elem.b3bar, elem.b0, elem.b3, elem.b2, 1, elem.b3low, 1)
+    runs = []
+    for pattern, units in zip(_SEGMENTS[i], sizes):
+        if len(pattern) == 1:
+            sym, cells = pattern[0]
+            runs.append((sym, (cells, units, col), units * len(cells)))
+        elif pattern:
+            for unit in range(units):
+                runs += [(sym, (cells, 1, col - unit), len(cells)) for sym, cells in pattern]
+        col -= units
+    return runs
+
+
+def test_flat_word_matches_per_unit_reference():
+    """The same runs, once the ``mult`` 0 runs that the cancellation skips
+    are set aside, and the same reduced word."""
+    for counts in oracle_vectors():
+        elem = MLTableau(*counts)
+        for i in INDEX_SET:
+            word, reference = elem.signature_word(i), _reference_signature_word(elem, i)
+            assert [r for r in word if r[2]] == [r for r in reference if r[2]], (counts, i)
+            assert elem.signature(i) == reduce_signature(reference), (counts, i)
 
 
 def test_box_outside_the_three_cases_rejected():
