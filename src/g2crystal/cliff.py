@@ -28,7 +28,7 @@ never added, and never maximal because the head's ``a_k`` is 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .cartan import CARTAN, check_counts, check_index, pairing, read_json_ints, roots_to_weight
 
@@ -90,16 +90,18 @@ class CliffElement:
         pos = self._select(i, lower=True)
         if pos <= 1:  # the head factor is never lowered on members
             raise ValueError(f"not in the realization: {self.text()}")
-        name = _SLOTS[pos - 2][0]
-        return replace(self, **{name: getattr(self, name) + 1})
+        ks = list(self.ks())
+        ks[pos - 2] += 1
+        return CliffElement(*ks)
 
     def e(self, i):
         pos = self._select(i, lower=False)
         if pos == 1:
             return None
-        name = _SLOTS[pos - 2][0]
+        ks = list(self.ks())
+        ks[pos - 2] -= 1
         try:
-            return replace(self, **{name: getattr(self, name) - 1})
+            return CliffElement(*ks)
         except ValueError:  # a zero count raised: only non-members get here
             raise ValueError(f"not in the realization: {self.text()}") from None
 

@@ -39,7 +39,7 @@ that equivalence exhaustively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .cartan import CountVector, check_index, pairing, reduce_signature
 from .monomials import ExtMonomial, _build
@@ -88,7 +88,7 @@ class MinfElement(CountVector):
         return self.counts() + self.params()
 
     def with_params(self, p1, p2, r):
-        return replace(self, p1=p1, p2=p2, r=r)
+        return MinfElement(*self.counts(), p1, p2, r)
 
     # -- change of variables ----------------------------------------------
 
@@ -176,12 +176,12 @@ class MinfElement(CountVector):
     def _move(self, source, target):
         """Take one from ``source``'s count and add one to ``target``'s;
         ``None`` is the X_1 body, which has no count."""
-        change = {}
+        fields = list(vars(self).values())
         if source is not None:
-            change[_COUNT[source]] = getattr(self, _COUNT[source]) - 1
+            fields[_SLOT[source]] -= 1
         if target is not None:
-            change[_COUNT[target]] = getattr(self, _COUNT[target]) + 1
-        return replace(self, **change)
+            fields[_SLOT[target]] += 1
+        return MinfElement(*fields)
 
     # -- serialization -----------------------------------------------------
 
@@ -204,8 +204,8 @@ _F_STEP = {
     2: {None: "3low", "3b": "2b", "2": "3"},
 }
 _E_STEP = {i: {dst: src for src, dst in steps.items()} for i, steps in _F_STEP.items()}
-_COUNT = {"2": "b2", "3": "b3", "0": "b0", "3b": "b3bar", "2b": "b2bar", "1b": "b1bar",
-          "3low": "b3low"}
+# Component -> position of its count among the fields.
+_SLOT = {"2": 0, "3": 1, "0": 2, "3b": 3, "2b": 4, "1b": 5, "3low": 6}
 
 
 def highest_minf(p1=1, p2=1, r=0):

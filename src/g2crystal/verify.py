@@ -16,7 +16,7 @@ from .cartan import INDEX_SET, pair_add, pair_neg, pairing, simple_root, weight_
 from .graph import bfs, highest_element, iso_check, kostant_partitions, weight_census
 from .isomorphisms import shift_params, tableau_to_cliff, tableau_to_minf
 from .minf import highest_minf, is_minf_monomial
-from .monomials import ExtMonomial, highest_monomial
+from .monomials import _build, highest_monomial
 from .tableaux import MLTableau
 
 _MAX_DETAILS = 5
@@ -163,8 +163,10 @@ def check_lemma_equivalence(depth):
     two operator rules enumerate the same set."""
     report = SuiteReport(f"lemma-equivalence(depth={depth})")
     gm = bfs(highest_minf(), depth, "minf")
+    minf_keys = set()
     for elem, _depth in gm.nodes.values():
         mono = elem.to_monomial()
+        minf_keys.add(mono.key())
         if elem.wt() != mono.wt():
             report.fail(f"weight mismatch at {elem.text()}")
         for i in INDEX_SET:
@@ -177,44 +179,46 @@ def check_lemma_equivalence(depth):
                     report.fail(f"{op}_{i} rule mismatch at {elem.text()}")
     gy = bfs(highest_monomial(), depth, "monomial")
     report.tick()
-    minf_keys = {elem.to_monomial().key() for elem, _d in gm.nodes.values()}
     if minf_keys != set(gy.nodes):
         report.fail("signature-rule and generic enumerations differ as sets")
     return report
 
 
 def random_monomial(rng):
-    """A random extended monomial with support in m in [-5, 5] and
-    exponents in [-4, 4]^2."""
+    """A random extended monomial with support in m in [-5, 5] and exponents
+    in [-4, 4]^2; ``choice`` draws as ``randint(-4, 4)`` would, and the draws
+    are ints, so the builder needs no checks."""
     exp = {}
     for i in INDEX_SET:
         for m in range(-5, 6):
             if rng.random() < 0.25:
-                exp[(i, m)] = (rng.randint(-4, 4), rng.randint(-4, 4))
-    return ExtMonomial(exp)
+                exp[(i, m)] = (rng.choice(range(-4, 5)), rng.choice(range(-4, 5)))
+    return _build({}, exp.items())
 
 
 def check_bookkeeping(count=10000, seed=20260313):
     """Structure-map identities on random extended monomials: the pair and
     ordinary weights both equal phi - eps summed over the index set, the
     operators invert each other, and lowering steps down by a simple root."""
+    if type(count) is not int or count < 0:
+        raise ValueError(f"count must be nonnegative and an int, got {count!r}")
     report = SuiteReport(f"bookkeeping(count={count})")
     rng = random.Random(seed)
     for _ in range(count):
         mono = random_monomial(rng)
-        pairs = mono.wt_pairs()
+        pairs, wt = mono.wt_pairs(), mono.wt()
         for i in INDEX_SET:
             res = mono.scan(i)
             report.tick()
             if pairs[i - 1] != pair_add(res.phi_pair, pair_neg(res.eps_pair)):
                 report.fail(f"pair weight bookkeeping fails at {mono.text()} i={i}")
-            if mono.phi(i) - mono.eps(i) != pairing(i, mono.wt()):
+            if mono.phi(i) - mono.eps(i) != pairing(i, wt):
                 report.fail(f"weight bookkeeping fails at {mono.text()} i={i}")
             down = mono.f(i)
             if down is not None:
                 if down.e(i) != mono:
                     report.fail(f"e_{i} f_{i} != id at {mono.text()}")
-                if weight_sub(mono.wt(), down.wt()) != simple_root(i):
+                if weight_sub(wt, down.wt()) != simple_root(i):
                     report.fail(f"f_{i} weight step wrong at {mono.text()}")
                 if res.m_f is None or mono.exponent(i, res.m_f) <= (0, 0):
                     report.fail(f"m_f position not positive at {mono.text()}")
@@ -243,20 +247,22 @@ def check_shift_family(depth):
     report = SuiteReport(f"shift-family(depth={depth})")
     gm = bfs(highest_minf(), depth, "minf")
     for elem, _depth in gm.nodes.values():
+        wt = elem.wt()
+        maps = [(i, elem.eps(i), elem.phi(i), (("f", elem.f(i)), ("e", elem.e(i))))
+                for i in INDEX_SET]
         for params in _SHIFT_GRID:
             moved = shift_params(elem, *params)
             moved_mono = moved.to_monomial()
             report.tick()
             if not is_minf_monomial(moved_mono, *params):
                 report.fail(f"shifted element leaves its family at {elem.text()} {params}")
-            if moved_mono.wt() != elem.wt():
+            if moved_mono.wt() != wt:
                 report.fail(f"shift changes weight at {elem.text()} {params}")
-            for i in INDEX_SET:
-                if moved_mono.eps(i) != elem.eps(i) or moved_mono.phi(i) != elem.phi(i):
+            for i, eps, phi, moves in maps:
+                if moved_mono.eps(i) != eps or moved_mono.phi(i) != phi:
                     report.fail(f"shift changes eps/phi at {elem.text()} {params}")
-                for op in ("f", "e"):
-                    got, want = getattr(elem, op)(i), getattr(moved, op)(i)
-                    if not _agree(got, want, shift_params, *params):
+                for op, got in moves:
+                    if not _agree(got, getattr(moved, op)(i), shift_params, *params):
                         report.fail(f"shift misses {op}_{i} at {elem.text()} {params}")
     return report
 

@@ -48,6 +48,19 @@ DEPTH2_COUNTS = {
     (2, 2): (0, 0, 0, 0, 0, 0, 2),
 }
 
+# Checks each suite makes at its acceptance size (depth 10 for iso, closure,
+# involution and lemma-equivalence, 8 for census, 6 for shift, 10,000 samples
+# for bookkeeping); the benchmark's expected figures carry the same counts.
+CHECK_COUNTS = {
+    "iso": 4095,
+    "census": 135,
+    "lemma-equivalence": 1489,
+    "closure": 4464,
+    "involution": 5952,
+    "bookkeeping": 20000,
+    "shift": 1998,
+}
+
 
 def letter_reduce(word):
     """Letter-level (0,1) cancellation of a word of ``(symbol, tag)`` pairs,

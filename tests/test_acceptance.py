@@ -31,6 +31,7 @@ from g2crystal.verify import (
 )
 
 from conftest import (
+    CHECK_COUNTS,
     DEPTH2_COUNTS,
     DEPTH2_YFORMS,
     EXAMPLE_EXPONENTS,
@@ -104,6 +105,7 @@ def test_criterion_3_realizations_isomorphic_to_depth_ten():
     report = check_iso(10)
     print(report.summary())
     assert report.ok, report.summary()
+    assert report.checked == CHECK_COUNTS["iso"]
     assert len(bfs(highest_element("minf"), 10, "minf").nodes) == 372
     _report(3, "depth-10 graph isomorphisms and commutation", started, 30.0)
 
@@ -113,6 +115,7 @@ def test_criterion_4_census_matches_kostant_partitions():
     report = check_census(8)
     print(report.summary())
     assert report.ok, report.summary()
+    assert report.checked == CHECK_COUNTS["census"]
     census = weight_census(bfs(highest_element("tableaux"), 8, "tableaux"))
     assert census[(1, 1)] == 2 and census[(2, 1)] == 3
     _report(4, "weight census against the partition oracle", started, 10.0)
@@ -123,6 +126,7 @@ def test_criterion_5_signature_rule_equals_generic_rule():
     report = check_lemma_equivalence(10)
     print(report.summary())
     assert report.ok, report.summary()
+    assert report.checked == CHECK_COUNTS["lemma-equivalence"]
     _report(5, "signature rule vs generic rule to depth 10", started, 30.0)
 
 
@@ -131,6 +135,7 @@ def test_criterion_6_bookkeeping_on_random_monomials():
     report = check_bookkeeping(count=10000, seed=20260313)
     print(report.summary())
     assert report.ok, report.summary()
+    assert report.checked == CHECK_COUNTS["bookkeeping"]
     _report(6, "structure-map bookkeeping on 10^4 random monomials", started, 30.0)
 
 
@@ -139,6 +144,7 @@ def test_criterion_7_closure_to_depth_ten():
     report = check_closure(10)
     print(report.summary())
     assert report.ok, report.summary()
+    assert report.checked == CHECK_COUNTS["closure"]
     _report(7, "operator closure of all three sets", started, 30.0)
 
 
@@ -147,4 +153,5 @@ def test_criterion_8_shift_family_to_depth_six():
     report = check_shift_family(6)
     print(report.summary())
     assert report.ok, report.summary()
+    assert report.checked == CHECK_COUNTS["shift"]
     _report(8, "shifted-family equivariance", started, 30.0)

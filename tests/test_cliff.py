@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
 
 import pytest
 
 from g2crystal.cartan import INDEX_SET, PAIR_ZERO, pair_add, pairing, simple_root, weight_sub
 from g2crystal.cliff import _SLOTS, CliffElement, highest_cliff
+from g2crystal.graph import bfs
 
 from conftest import EXAMPLE_KS
 
@@ -373,3 +375,42 @@ def test_text_and_json():
         "⊗ b2(-4) ⊗ b1(-5) ⊗ b2(-2)"
     )
     assert CliffElement.from_json(example.to_json()) == example
+
+
+# The ``dataclasses.replace`` bodies of ``f`` and ``e`` that the positional
+# constructor calls replaced, kept as the reference.
+def _reference_replace_f(self, i):
+    pos = self._select(i, lower=True)
+    if pos <= 1:
+        raise ValueError(f"not in the realization: {self.text()}")
+    name = _SLOTS[pos - 2][0]
+    return replace(self, **{name: getattr(self, name) + 1})
+
+
+def _reference_replace_e(self, i):
+    pos = self._select(i, lower=False)
+    if pos == 1:
+        return None
+    name = _SLOTS[pos - 2][0]
+    try:
+        return replace(self, **{name: getattr(self, name) - 1})
+    except ValueError:
+        raise ValueError(f"not in the realization: {self.text()}") from None
+
+
+def test_positional_construction_matches_replace_reference():
+    """Every node of the depth-8 graph, then every vector with counts in 0..2,
+    members or not; a failure must carry the same message."""
+    nodes = [elem for elem, _depth in bfs(highest_cliff(), 8, "cliff").nodes.values()]
+    assert len(nodes) == 176
+    grid = [CliffElement(*ks) for ks in itertools.product(range(3), repeat=6)]
+    for elem in nodes + grid:
+        for i in INDEX_SET:
+            for op, ref in ((elem.f, _reference_replace_f), (elem.e, _reference_replace_e)):
+                try:
+                    want = ref(elem, i)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                        op(i)
+                else:
+                    assert op(i) == want, (elem, i)

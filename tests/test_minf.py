@@ -432,3 +432,45 @@ def test_run_word_matches_letter_reference():
             assert outcome(lambda: elem.f(i)) == outcome(lambda: _reference_f(elem, i, sig))
             assert outcome(lambda: elem.e(i)) == outcome(lambda: _reference_e(elem, i, sig))
         assert len(elem.signature_word(1)) == 7 and len(elem.signature_word(2)) == 5
+
+
+# The ``dataclasses.replace`` bodies of ``_move`` and ``with_params`` that the
+# positional constructor calls replaced, kept as the reference.
+_REFERENCE_COUNT = {"2": "b2", "3": "b3", "0": "b0", "3b": "b3bar", "2b": "b2bar",
+                    "1b": "b1bar", "3low": "b3low"}
+
+
+def _reference_move(self, source, target):
+    change = {}
+    if source is not None:
+        change[_REFERENCE_COUNT[source]] = getattr(self, _REFERENCE_COUNT[source]) - 1
+    if target is not None:
+        change[_REFERENCE_COUNT[target]] = getattr(self, _REFERENCE_COUNT[target]) + 1
+    return replace(self, **change)
+
+
+def _reference_with_params(self, p1, p2, r):
+    return replace(self, p1=p1, p2=p2, r=r)
+
+
+def test_positional_construction_matches_replace_reference(monkeypatch):
+    """``with_params``, ``f`` and ``e`` on every node of the depth-8 graph,
+    moved to each of the 27 ``_SHIFT_GRID`` families, for both indices."""
+    graph = bfs(highest_minf(), 8, "minf")
+    elems = []
+    for elem, _depth in graph.nodes.values():
+        for params in _SHIFT_GRID:
+            moved = elem.with_params(*params)
+            assert moved == _reference_with_params(elem, *params), (elem, params)
+            elems.append(moved)
+    assert len(elems) == 176 * 27
+
+    def images():
+        return [outcome(lambda: op(i)) for elem in elems for op in (elem.f, elem.e)
+                for i in INDEX_SET]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MinfElement, "_move", _reference_move)
+        want = images()
+    assert images() == want
+    assert sum(img is None for img in want) > 0 and ValueError not in want
