@@ -21,14 +21,15 @@ Count vectors
 -------------
 Elements of M(infinity) and marginally large tableaux are both stored as
 the seven counts ``(b2, b3, b0, b3bar, b2bar, b1bar, b3low)``: nonnegative
-integers with ``b0 <= 1``.  :class:`CountVector` holds that storage, its
-validation (:func:`check_counts`, shared with the tensor-product counts)
-and its JSON reader (the JSON is the fields, omitted ones taken from the
-highest element); :func:`reduce_signature` is the (0,1) cancellation
-that every signature rule ends with.  It works on runs of
-equal symbols, so a signature rule costs the same at any count.  The rules
-that build the run-length signature words and act on them stay with each
-realization.
+integers with ``b0 <= 1``; the tensor products store six counts.
+:class:`CountElement`, the base of all three, validates ``counts()`` and
+writes ``key``, ``phi`` and the JSON (the fields, omitted ones taken from the
+highest element) once.  :class:`CountVector` adds the seven-count storage
+and the reduced signature with ``eps``; :func:`reduce_signature` is the
+(0,1) cancellation that every signature rule ends with.  It works on runs
+of equal symbols, so a signature rule costs the same at any count.  The
+rules that build the run-length signature words and act on them stay with
+each realization.
 
 Crystal element contract
 ------------------------
@@ -152,16 +153,33 @@ def reduce_signature(runs):
     return reduced
 
 
-def check_counts(counts):
-    """Raise :class:`ValueError` unless every count is a nonnegative ``int``
-    (``bool`` is not one)."""
-    for c in counts:
-        if type(c) is not int or c < 0:
-            raise ValueError(f"counts must be nonnegative integers, got {counts}")
+@dataclass(frozen=True)
+class CountElement:
+    """Base of the count realizations: each subclass gives ``counts()``,
+    ``wt()`` and ``eps(i)``, and its fields are its JSON."""
+
+    def __post_init__(self):
+        counts = self.counts()
+        for c in counts:  # ``bool`` is not an ``int`` count
+            if type(c) is not int or c < 0:
+                raise ValueError(f"counts must be nonnegative integers, got {counts}")
+
+    def key(self):
+        return self.counts()
+
+    def phi(self, i):
+        return self.eps(i) + pairing(i, self.wt())
+
+    def to_json(self):
+        return dict(vars(self))
+
+    @classmethod
+    def from_json(cls, obj):
+        return cls(**read_json_ints(obj, vars(cls())))
 
 
 @dataclass(frozen=True)
-class CountVector:
+class CountVector(CountElement):
     """The seven nonnegative counts shared by M(infinity) and the tableaux."""
 
     b2: int = 0
@@ -173,13 +191,17 @@ class CountVector:
     b3low: int = 0
 
     def __post_init__(self):
-        check_counts(self.counts())
+        CountElement.__post_init__(self)  # cheaper than super() on every successor
         if self.b0 > 1:
             raise ValueError(f"b0 must be 0 or 1, got {self.b0}")
 
     def counts(self):
         return (self.b2, self.b3, self.b0, self.b3bar, self.b2bar, self.b1bar, self.b3low)
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(**read_json_ints(obj, vars(cls())))
+    def signature(self, i):
+        """Reduced i-signature: the runs ``(symbol, tag, mult)`` of ``signature_word(i)``
+        that survive the (0,1) cancellation, ones before zeros."""
+        return reduce_signature(self.signature_word(i))
+
+    def eps(self, i):
+        return sum(n for sym, _tag, n in self.signature(i) if sym == 1)

@@ -56,7 +56,10 @@ class ExtMonomial:
     __slots__ = ("_exp", "_key")
 
     def __init__(self, exponents=None):
-        factors = dict(exponents or {}).items()
+        try:
+            factors = [((i, m), (u, v)) for (i, m), (u, v) in dict(exponents or {}).items()]
+        except (TypeError, ValueError):
+            raise ValueError(f"exponents must map (i, m) to (u, v), got {exponents!r}") from None
         for (i, m), (u, v) in factors:
             check_index(i)
             if type(m) is not int or type(u) is not int or type(v) is not int:

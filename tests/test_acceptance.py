@@ -96,7 +96,7 @@ def test_criterion_2_worked_example_conversions():
     row1, row2 = tab.rows()
     assert [LETTER_NAMES[x] for x in row1] == EXAMPLE_ROW1
     assert [LETTER_NAMES[x] for x in row2] == EXAMPLE_ROW2
-    assert tableau_to_cliff(tab).ks() == EXAMPLE_KS
+    assert tableau_to_cliff(tab).counts() == EXAMPLE_KS
     _report(2, "worked-example conversions", started, 1.0)
 
 

@@ -69,7 +69,7 @@ def reference_op(elem, i, lower):
         if lower:
             raise ValueError("the head factor is never lowered on members")
         return None
-    ks = list(elem.ks())
+    ks = list(elem.counts())
     ks[pos - 2] += 1 if lower else -1
     return CliffElement(*ks)
 
@@ -83,7 +83,7 @@ def _outcome(call):
 
 def a_seq_oracle(elem, i):
     """The closed-form a-values, written out term by term."""
-    k12bar, k13bar, k13, k12, k11, k22 = elem.ks()
+    k12bar, k13bar, k13, k12, k11, k22 = elem.counts()
     if i == 1:
         return [
             0,
@@ -194,8 +194,8 @@ def test_a_seq_matches_closed_forms():
 
 def test_lowering_from_highest():
     top = highest_cliff()
-    assert top.f(1).ks() == (0, 0, 0, 0, 1, 0)  # rightmost maximum, slot k11
-    assert top.f(2).ks() == (0, 0, 0, 0, 0, 1)  # rightmost maximum, slot k22
+    assert top.f(1).counts() == (0, 0, 0, 0, 1, 0)  # rightmost maximum, slot k11
+    assert top.f(2).counts() == (0, 0, 0, 0, 0, 1)  # rightmost maximum, slot k22
     assert top.e(1) is None and top.e(2) is None
 
 
@@ -234,8 +234,8 @@ def test_lowering_cases_match_strengthened_chains():
     for _ in range(300):
         c = _random_member(rng)
         for i in INDEX_SET:
-            before = c.ks()
-            after = c.f(i).ks()
+            before = c.counts()
+            after = c.f(i).counts()
             slot = next(j for j in range(6) if after[j] != before[j])
             k12bar, k13bar, k13, k12, k11, k22 = before
             if i == 1:
@@ -266,8 +266,8 @@ def test_selection_agrees_with_closed_form_argmax():
             top = max(finite)
             f_slot = max(k for k, a in enumerate(oracle) if a == top)
             e_slot = min(k for k, a in enumerate(oracle) if a == top)
-            before = elem.ks()
-            after = elem.f(i).ks()
+            before = elem.counts()
+            after = elem.f(i).counts()
             changed = [j for j in range(6) if after[j] != before[j]]
             assert changed == [f_slot - 1]  # slot k acts on factor k-1
             up = elem.e(i)
@@ -275,7 +275,7 @@ def test_selection_agrees_with_closed_form_argmax():
                 assert up is None
             else:
                 assert up is not None
-                changed = [j for j in range(6) if up.ks()[j] != before[j]]
+                changed = [j for j in range(6) if up.counts()[j] != before[j]]
                 assert changed == [e_slot - 1]
 
 

@@ -100,6 +100,23 @@ def test_bfs_depth_must_be_a_nonnegative_int(depth):
         bfs(highest_minf(), depth, "minf")
 
 
+@pytest.mark.parametrize(
+    ("root", "name", "message"),
+    [
+        (highest_minf(), "tableaux", "tableaux takes a MLTableau, got MinfElement"),
+        (highest_tableau(), "minf", "minf takes a MinfElement, got MLTableau"),
+        (highest_monomial(), "cliff", "cliff takes a CliffElement, got ExtMonomial"),
+        (highest_minf(), "nope", "unknown realization 'nope'"),
+        (highest_minf(), None, "unknown realization None"),
+    ],
+)
+def test_bfs_rejects_a_name_that_does_not_fit_the_root(root, name, message):
+    """The name is exported with the graph, so it must be the root's."""
+    with pytest.raises(ValueError) as exc:
+        bfs(root, 2, name)
+    assert str(exc.value) == message
+
+
 def _reference_kostant(a, b):
     """The direct recursion over the positive roots that the table replaced."""
 

@@ -37,8 +37,8 @@ def test_count_copy_maps(example_monomial):
 
 def test_tableau_to_cliff_examples():
     assert tableau_to_cliff(highest_tableau()) == highest_cliff()
-    assert tableau_to_cliff(MLTableau(*EXAMPLE_COUNTS)).ks() == EXAMPLE_KS
-    assert tableau_to_cliff(highest_tableau().f(1)).ks() == (0, 0, 0, 0, 1, 0)
+    assert tableau_to_cliff(MLTableau(*EXAMPLE_COUNTS)).counts() == EXAMPLE_KS
+    assert tableau_to_cliff(highest_tableau().f(1)).counts() == (0, 0, 0, 0, 1, 0)
 
 
 def test_cliff_to_tableau_examples():
@@ -47,7 +47,7 @@ def test_cliff_to_tableau_examples():
     assert cliff_to_tableau(CliffElement(0, 0, 1, 1, 1, 0)).counts() == (
         0, 0, 1, 0, 0, 0, 0,
     )
-    assert tableau_to_cliff(MLTableau(0, 0, 1, 0, 0, 0, 0)).ks() == (0, 0, 1, 1, 1, 0)
+    assert tableau_to_cliff(MLTableau(0, 0, 1, 0, 0, 0, 0)).counts() == (0, 0, 1, 1, 1, 0)
     with pytest.raises(ValueError):
         cliff_to_tableau(CliffElement(2, 1, 0, 0, 0, 0))
 

@@ -246,6 +246,16 @@ def test_constructors_reject_non_integers():
             a_monomial(i, m)
 
 
+@pytest.mark.parametrize(
+    "bad", [{1: (1, 1)}, {(1, 0): 5}, [1, 2], {(1, 0, 0): (1, 1)}, "x"], ids=repr
+)
+def test_constructor_rejects_a_malformed_map(bad):
+    """Anything that is not a map ``(i, m) -> (u, v)`` gets one ``ValueError``."""
+    with pytest.raises(ValueError) as exc:
+        ExtMonomial(bad)
+    assert str(exc.value) == f"exponents must map (i, m) to (u, v), got {bad!r}"
+
+
 # The scan, extended weight and product of the dict-based core that the
 # key-based one replaced, kept as the reference.
 def _reference_scan(mono, i):

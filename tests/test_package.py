@@ -1,8 +1,8 @@
 """Package-wide guards on how the source is built: the signature rules run
 through one live ``signature`` method, no invariant rests on ``assert``,
 the realization names are registered in one table, one builder sorts
-every monomial key, and count elements write their JSON from their own
-fields."""
+every monomial key, count elements write their JSON from their own
+fields, and the methods shared by the count elements are written once."""
 
 from __future__ import annotations
 
@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import g2crystal
-from g2crystal.cartan import INDEX_SET
+from g2crystal.cartan import INDEX_SET, CountElement, CountVector
+from g2crystal.cliff import CliffElement
 from g2crystal.minf import MinfElement
 from g2crystal.tableaux import MLTableau
 
@@ -96,3 +97,36 @@ def test_count_json_reads_no_field_table():
         and node.id in ("COUNT_FIELDS", "_JSON_FIELDS")
     ]
     assert found == []
+
+
+def test_shared_count_methods_are_defined_once():
+    """``phi``, ``to_json`` and ``signature`` have one ``def`` across the
+    count realizations, so no copy can drift from the others."""
+    files = ("cartan.py", "minf.py", "tableaux.py", "cliff.py")
+    defs = [node.name for name, node in _package_nodes()
+            if name in files and isinstance(node, ast.FunctionDef)]
+    assert [defs.count(name) for name in ("phi", "to_json", "signature")] == [1, 1, 1]
+
+
+# Names each count class binds to its base's function for the span tracer.
+BOUND = {
+    MinfElement: ("signature", "eps", "phi", "to_json"),
+    MLTableau: ("key", "signature", "eps", "phi", "to_json"),
+    CliffElement: ("key", "phi", "to_json"),
+}
+
+
+@pytest.mark.parametrize("cls", BOUND, ids=lambda cls: cls.__name__)
+def test_bound_names_are_the_base_functions(cls):
+    for name in BOUND[cls]:
+        base = CountVector if name in vars(CountVector) else CountElement
+        assert vars(cls)[name] is vars(base)[name], name
+
+
+@pytest.mark.parametrize("field", [{"k11": -1}, {"k13": 1.5}, {"k22": True}], ids=repr)
+def test_cliff_counts_keep_the_shared_message(field):
+    elem = CliffElement()
+    counts = tuple(field.get(name, value) for name, value in vars(elem).items())
+    with pytest.raises(ValueError) as exc:
+        CliffElement(**field)
+    assert str(exc.value) == f"counts must be nonnegative integers, got {counts}"
