@@ -26,6 +26,8 @@ _WORD_OPS = {"f1": ("f", 1), "f2": ("f", 2), "e1": ("e", 1), "e2": ("e", 2)}
 
 
 def _check_depth(depth, force):
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative and an int, got {depth!r}")
     if depth > DEFAULT_DEPTH_CAP and not force:
         raise ValueError(
             f"depth {depth} exceeds the cap {DEFAULT_DEPTH_CAP}; pass --force to override"

@@ -112,7 +112,7 @@ class MinfElement(CountVector):
         ]
 
     def to_monomial(self):
-        return _build({}, [((i, m + offset), (power * u, power * v))
+        return _build({}, [(i, m + offset, power * u, power * v)
                            for letter, m, u, v in self.x_factors()
                            for i, offset, power in _X_TO_Y[letter]])
 

@@ -18,8 +18,12 @@ holds at ``min support - 1`` and the total at ``max support + 1``.
 
 One builder, ``_build``, makes every monomial: the constructor, products,
 inverses, the operators (which add the three factors of ``A_i(m)^{+-1}``
-directly), JSON and the M(infinity) expansion.  The key it sorts is the one
-view that text, JSON and membership read.
+directly), JSON and the M(infinity) expansion.  Every exponent lives in one
+tuple shape, the entry ``(i, m, u, v)``: the builder takes entries as its
+factors, stores them as the values of the position map and sorts those same
+objects into the key, the one view that text, JSON and membership read.  An
+operator or product therefore makes new entries only at the positions it
+changes; every other entry is shared with the monomial it started from.
 
 The crystal zero is represented by ``None``; it marks the absence of an
 edge, never an error.
@@ -47,20 +51,21 @@ _FACTOR_KEYS = dict.fromkeys(("i", "m", "u", "v"))
 class ExtMonomial:
     """An extended Nakajima monomial in canonical form.
 
-    Exponents are stored as a map ``(i, m) -> (u, v)`` with all zero pairs
-    erased, and as the key: the sorted tuple of ``(i, m, u, v)``, which
-    equality, hashing, :meth:`scan`, text and JSON read.  Instances are
-    immutable; the operators return new monomials.
+    Exponents are stored as entries ``(i, m, u, v)`` with all zero pairs
+    erased: ``_exp`` maps each support position ``(i, m)`` to its entry, and
+    the key, which equality, hashing, :meth:`scan`, text and JSON read, is the
+    sorted tuple of those same entry objects.  Instances are immutable; the
+    operators return new monomials, which share the untouched entries.
     """
 
     __slots__ = ("_exp", "_key")
 
     def __init__(self, exponents=None):
         try:
-            factors = [((i, m), (u, v)) for (i, m), (u, v) in dict(exponents or {}).items()]
+            factors = [(i, m, u, v) for (i, m), (u, v) in dict(exponents or {}).items()]
         except (TypeError, ValueError):
             raise ValueError(f"exponents must map (i, m) to (u, v), got {exponents!r}") from None
-        for (i, m), (u, v) in factors:
+        for i, m, u, v in factors:
             check_index(i)
             if type(m) is not int or type(u) is not int or type(v) is not int:
                 raise ValueError(f"Y_{i}({m})^({u!r}, {v!r}): position and exponents must be ints")
@@ -68,7 +73,8 @@ class ExtMonomial:
         self._exp, self._key = canon._exp, canon._key
 
     def exponent(self, i, m):
-        return self._exp.get((i, m), PAIR_ZERO)
+        entry = self._exp.get((i, m))
+        return PAIR_ZERO if entry is None else entry[2:]
 
     def key(self):
         return self._key
@@ -83,10 +89,10 @@ class ExtMonomial:
         return f"ExtMonomial({self.text()!r})"
 
     def __mul__(self, other):
-        return _build(self._exp, other._exp.items())
+        return _build(self._exp, other._key)
 
     def inverse(self):
-        return _build({}, ((pos, (-u, -v)) for pos, (u, v) in self._exp.items()))
+        return _build({}, [(i, m, -u, -v) for i, m, u, v in self._key])
 
     # -- structure maps -------------------------------------------------
 
@@ -180,25 +186,31 @@ class ExtMonomial:
         recs = [read_json_ints(rec, _FACTOR_KEYS) for rec in obj]
         for rec in recs:
             check_index(rec["i"])
-        return _build({}, (((rec["i"], rec["m"]), (rec["u"], rec["v"])) for rec in recs))
+        return _build({}, [(rec["i"], rec["m"], rec["u"], rec["v"]) for rec in recs])
 
 
 def _build(base, factors):
     """The canonical monomial ``base * prod factors``: ``base`` is a zero-free
-    exponent map, left unchanged, and ``factors`` yields ``((i, m), (u, v))``
-    of checked ints.  The only code that adds pairs, drops zeros and sorts."""
+    position map ``(i, m) -> (i, m, u, v)``, left unchanged, and ``factors``
+    yields entries ``(i, m, u, v)`` of checked ints.  A factor at a new
+    position is stored as it is (a zero one is not stored); at a position
+    already present it makes one new entry, or erases the position when the
+    sum is zero.  The only code that adds pairs, drops zeros and sorts."""
     exp = dict(base)
-    for pos, (u, v) in factors:
-        if pos in exp:
-            pu, pv = exp[pos]
-            u, v = u + pu, v + pv
+    for entry in factors:
+        i, m, u, v = entry
+        pos = (i, m)
+        old = exp.get(pos)
+        if old is not None:
+            u, v = u + old[2], v + old[3]
+            entry = (i, m, u, v)
         if u or v:
-            exp[pos] = (u, v)
+            exp[pos] = entry
         else:
             exp.pop(pos, None)
     mono = object.__new__(ExtMonomial)
     mono._exp = exp
-    mono._key = tuple(sorted([(i, m, u, v) for (i, m), (u, v) in exp.items()]))
+    mono._key = tuple(sorted(exp.values()))
     return mono
 
 
@@ -210,7 +222,7 @@ _A_ROWS = {
 
 
 def _a_factors(i, m, sign):
-    return [((j, m + offset), (0, sign * power)) for j, offset, power in _A_ROWS[i]]
+    return [(j, m + offset, 0, sign * power) for j, offset, power in _A_ROWS[i]]
 
 
 def a_monomial(i, m, sign=1):

@@ -184,16 +184,20 @@ def check_lemma_equivalence(depth):
     return report
 
 
+# The sampler's support positions, in draw order, and its exponent range.
+_SUPPORT = tuple((i, m) for i in INDEX_SET for m in range(-5, 6))
+_EXPONENTS = range(-4, 5)
+
+
 def random_monomial(rng):
     """A random extended monomial with support in m in [-5, 5] and exponents
-    in [-4, 4]^2; ``choice`` draws as ``randint(-4, 4)`` would, and the draws
-    are ints, so the builder needs no checks."""
-    exp = {}
-    for i in INDEX_SET:
-        for m in range(-5, 6):
-            if rng.random() < 0.25:
-                exp[(i, m)] = (rng.choice(range(-4, 5)), rng.choice(range(-4, 5)))
-    return _build({}, exp.items())
+    in [-4, 4]^2.  Each position of ``_SUPPORT`` is kept with probability 1/4
+    and then draws ``(u, v)``; ``choice`` draws as ``randint(-4, 4)`` would.
+    The draws feed the builder as entries ``(i, m, u, v)`` of ints, so it
+    needs no checks, and it drops a drawn zero pair."""
+    draw, choice = rng.random, rng.choice
+    return _build({}, [(i, m, choice(_EXPONENTS), choice(_EXPONENTS))
+                       for i, m in _SUPPORT if draw() < 0.25])
 
 
 def check_bookkeeping(count=10000, seed=20260313):

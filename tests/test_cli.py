@@ -248,6 +248,21 @@ def test_verify_suites_pass(capsys, monkeypatch, suite):
     assert "pass" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", suite, "--depth", "-3"] for suite in
+     ("closure", "involution", "iso", "census", "lemma-equivalence", "shift", "bookkeeping")]
+    + [["graph", "--realization", "minf", "--depth", "-3"]],
+    ids=lambda argv: argv[1],
+)
+def test_negative_depth_is_refused(capsys, monkeypatch, argv):
+    """Every suite refuses a negative depth, even one that samples instead
+    of enumerating, with the message ``bfs`` gives."""
+    code, out, err = run(capsys, monkeypatch, argv)
+    assert code == 2 and out == ""
+    assert err == "g2crystal: depth must be nonnegative and an int, got -3\n"
+
+
 def test_verify_closure_depth_zero(capsys, monkeypatch):
     code, out, _err = run(capsys, monkeypatch, ["verify", "closure", "--depth", "0"])
     assert code == 0 and "pass" in out

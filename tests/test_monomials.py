@@ -257,9 +257,14 @@ def test_constructor_rejects_a_malformed_map(bad):
 
 
 # The scan, extended weight and product of the dict-based core that the
-# key-based one replaced, kept as the reference.
+# key-based one replaced, kept as the reference.  They read the exponent map
+# ``(i, m) -> (u, v)`` derived from the key, not the monomial's storage.
+def _pair_map(mono):
+    return {(i, m): (u, v) for i, m, u, v in mono.key()}
+
+
 def _reference_scan(mono, i):
-    support = sorted((m, pair) for (j, m), pair in mono._exp.items() if j == i)
+    support = sorted((m, pair) for (j, m), pair in _pair_map(mono).items() if j == i)
     if not support:
         return ScanResult(PAIR_ZERO, PAIR_ZERO, None, None)
     run_ends = [m - 1 for m, _pair in support[1:]] + [support[-1][0] + 1]
@@ -279,15 +284,15 @@ def _reference_scan(mono, i):
 
 def _reference_wt_pairs(mono):
     totals = {i: PAIR_ZERO for i in INDEX_SET}
-    for (i, _m), pair in mono._exp.items():
+    for (i, _m), pair in _pair_map(mono).items():
         totals[i] = pair_add(totals[i], pair)
     return (totals[1], totals[2])
 
 
 def _reference_product(left, right):
     """The exponent map of ``left * right``."""
-    exp = dict(left._exp)
-    for pos, pair in right._exp.items():
+    exp = _pair_map(left)
+    for pos, pair in _pair_map(right).items():
         if pos in exp:
             pair = pair_add(exp[pos], pair)
             if pair == PAIR_ZERO:
@@ -303,15 +308,16 @@ def _reference_key(exp):
 
 def _assert_core_matches_reference(mono, other):
     # scan relies on the key being sorted, whichever constructor built it
-    exp = dict(mono._exp)
-    assert mono.key() == ExtMonomial(exp).key() == monomials._build({}, exp.items()).key()
+    exp = _pair_map(mono)
+    entries = [pos + pair for pos, pair in exp.items()]
+    assert mono.key() == ExtMonomial(exp).key() == monomials._build({}, entries).key()
     assert mono.key() == _reference_key(exp)
     for i in INDEX_SET:
         assert mono.scan(i) == _reference_scan(mono, i), (mono.text(), i)
     assert mono.wt_pairs() == _reference_wt_pairs(mono), mono.text()
     exp = _reference_product(mono, other)
     product = mono * other
-    assert product._exp == exp and product.key() == _reference_key(exp), mono.text()
+    assert _pair_map(product) == exp and product.key() == _reference_key(exp), mono.text()
 
 
 def _assert_core_matches_reference_on(monos):
@@ -376,6 +382,37 @@ def test_scan_matches_reference_on_arbitrary_maps(exp):
     mono = ExtMonomial(exp)
     for i in INDEX_SET:
         assert mono.scan(i) == _reference_scan(mono, i) == _dense_scan(mono, i)
+
+
+def test_operators_and_products_share_untouched_entries():
+    """Storage and key hold the same entries ``(i, m, u, v)``, and a new
+    monomial makes new ones only where it changes an exponent: ``f``/``e``
+    at the three positions of their A-factor, a product where both sides
+    have support.  Every other entry is its parent's own object."""
+    monos = [mono for mono, _depth in bfs(highest_monomial(), 10, "monomial").nodes.values()]
+    shared = 0
+    for mono in monos:
+        assert list(mono.key()) == sorted(mono._exp.values())
+        for i in INDEX_SET:
+            res = mono.scan(i)
+            for child, m, sign in ((mono.f(i), res.m_f, -1), (mono.e(i), res.m_e, 1)):
+                if child is None:
+                    continue
+                assert list(child.key()) == sorted(child._exp.values())
+                touched = {(j, n) for j, n, _u, _v in a_monomial(i, m, sign).key()}
+                kept = [pos for pos in mono._exp if pos not in touched]
+                assert all(child._exp[pos] is mono._exp[pos] for pos in kept)
+                assert all(entry is mono._exp[entry[:2]]
+                           for entry in child.key() if entry[:2] not in touched)
+                shared += len(kept)
+    assert shared > len(monos)
+    rng = random.Random(25)
+    draws = [random_monomial(rng) for _ in range(len(monos))]
+    for left, right in zip(monos + draws, draws + monos):
+        product = left * right
+        assert list(product.key()) == sorted(product._exp.values())
+        assert all(product._exp[entry[:2]] is entry
+                   for entry in right.key() if entry[:2] not in left._exp)
 
 
 def test_a_monomial_takes_only_signs_one_and_minus_one():

@@ -1,8 +1,9 @@
 """Package-wide guards on how the source is built: the signature rules run
 through one live ``signature`` method, no invariant rests on ``assert``,
-the realization names are registered in one table, one builder sorts
-every monomial key, count elements write their JSON from their own
-fields, and the methods shared by the count elements are written once."""
+the realization names are registered in one table, one builder makes
+every monomial and sorts its key, count elements write their JSON from
+their own fields, and the methods shared by the count elements are
+written once."""
 
 from __future__ import annotations
 
@@ -70,17 +71,24 @@ def test_one_realization_registry():
 
 
 def test_one_monomial_key_builder():
-    """``monomials.py`` calls ``sorted`` once, in the builder, so no second
-    path can add exponent pairs or order a key differently."""
-    found = [
-        f"{name}:{node.lineno}"
-        for name, node in _package_nodes()
-        if name == "monomials.py"
-        and isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "sorted"
-    ]
-    assert len(found) == 1, found
+    """``monomials.py`` calls ``sorted`` and ``object.__new__`` once each,
+    both in ``_build``, so no second path can make a monomial, add exponent
+    pairs or order a key differently."""
+    nodes = [node for name, node in _package_nodes() if name == "monomials.py"]
+    builders = [node for node in nodes
+                if isinstance(node, ast.FunctionDef) and node.name == "_build"]
+    assert len(builders) == 1
+
+    def calls(tree):
+        return sorted(
+            f"{ast.unparse(node.func)}:{node.lineno}" for node in tree
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func) in ("sorted", "object.__new__")
+        )
+
+    found = calls(nodes)
+    assert [call.split(":")[0] for call in found] == ["object.__new__", "sorted"], found
+    assert calls(ast.walk(builders[0])) == found
 
 
 def test_count_json_reads_no_field_table():
