@@ -25,6 +25,11 @@ objects into the key, the one view that text, JSON and membership read.  An
 operator or product therefore makes new entries only at the positions it
 changes; every other entry is shared with the monomial it started from.
 
+One scan for index ``i`` serves phi~_i, eps~_i, ``f_i`` and ``e_i``.  Only
+``scan`` records it on the instance, once per index; ``f`` and ``e`` read a
+recorded scan but never record one, computing it unrecorded when it is
+missing.  So a graph made by ``bfs``, which only lowers, carries no scans.
+
 The crystal zero is represented by ``None``; it marks the absence of an
 edge, never an error.
 """
@@ -54,11 +59,14 @@ class ExtMonomial:
     Exponents are stored as entries ``(i, m, u, v)`` with all zero pairs
     erased: ``_exp`` maps each support position ``(i, m)`` to its entry, and
     the key, which equality, hashing, :meth:`scan`, text and JSON read, is the
-    sorted tuple of those same entry objects.  Instances are immutable; the
-    operators return new monomials, which share the untouched entries.
+    sorted tuple of those same entry objects.  ``_scans`` is ``None`` until
+    :meth:`scan` records its first result there (a dict from index to
+    :class:`ScanResult`); nothing else writes it, and only ``scan``, ``f``
+    and ``e`` read it.  The value never changes; the operators return new
+    monomials, which share the untouched entries and start with no scans.
     """
 
-    __slots__ = ("_exp", "_key")
+    __slots__ = ("_exp", "_key", "_scans")
 
     def __init__(self, exponents=None):
         try:
@@ -70,7 +78,7 @@ class ExtMonomial:
             if type(m) is not int or type(u) is not int or type(v) is not int:
                 raise ValueError(f"Y_{i}({m})^({u!r}, {v!r}): position and exponents must be ints")
         canon = _build({}, factors)
-        self._exp, self._key = canon._exp, canon._key
+        self._exp, self._key, self._scans = canon._exp, canon._key, None
 
     def exponent(self, i, m):
         entry = self._exp.get((i, m))
@@ -89,6 +97,8 @@ class ExtMonomial:
         return f"ExtMonomial({self.text()!r})"
 
     def __mul__(self, other):
+        if not isinstance(other, ExtMonomial):
+            return NotImplemented
         return _build(self._exp, other._key)
 
     def inverse(self):
@@ -119,33 +129,19 @@ class ExtMonomial:
         operator does not act, in which case the true arg-max set is
         unbounded on that side.
 
-        One pass over the canonical key (index-``i`` entries in increasing
-        ``m``).  While the total equals phi~ (``held``), the run of maxima
-        reaches the next support position minus 1.  A run still held at the
-        last position means eps~ = 0, so ``m_e`` is not read from it.
+        The only method that records a scan: the first call for ``i`` stores
+        its result on the instance, and later calls, the structure maps and
+        ``f``/``e`` read it from there.  The index is checked before any
+        lookup, since ``True`` and ``1.0`` hash like ``1``.
         """
         check_index(i)
-        tu = tv = pu = pv = 0  # running total and phi~, both the empty sum
-        first = last = None  # first and last position holding phi~
-        held = False
-        for j, m, u, v in self._key:
-            if j != i:
-                continue
-            if held:
-                last = m - 1
-            elif first is None:  # the empty sum holds at min support - 1
-                first = last = m - 1
-            tu, tv = tu + u, tv + v
-            if tu > pu or (tu == pu and tv > pv):
-                pu, pv, first, held = tu, tv, m, True
-            else:
-                held = tu == pu and tv == pv
-        if first is None:
-            return ScanResult(PAIR_ZERO, PAIR_ZERO, None, None)
-        phi_pair, eps_pair = (pu, pv), (pu - tu, pv - tv)
-        m_f = first if phi_pair > PAIR_ZERO else None
-        m_e = last if eps_pair > PAIR_ZERO else None
-        return ScanResult(phi_pair, eps_pair, m_f, m_e)
+        scans = self._scans
+        if scans is None:
+            scans = self._scans = {}
+        elif i in scans:
+            return scans[i]
+        res = scans[i] = _scan(self._key, i)
+        return res
 
     def phi_pair(self, i):
         return self.scan(i).phi_pair
@@ -160,13 +156,21 @@ class ExtMonomial:
         return self.scan(i).eps_pair[1]
 
     def f(self, i):
-        res = self.scan(i)
+        check_index(i)
+        scans = self._scans
+        res = scans.get(i) if scans is not None else None
+        if res is None:
+            res = _scan(self._key, i)
         if res.phi_pair == PAIR_ZERO:
             return None
         return _build(self._exp, _a_factors(i, res.m_f, -1))
 
     def e(self, i):
-        res = self.scan(i)
+        check_index(i)
+        scans = self._scans
+        res = scans.get(i) if scans is not None else None
+        if res is None:
+            res = _scan(self._key, i)
         if res.eps_pair == PAIR_ZERO:
             return None
         return _build(self._exp, _a_factors(i, res.m_e, 1))
@@ -187,6 +191,37 @@ class ExtMonomial:
         for rec in recs:
             check_index(rec["i"])
         return _build({}, [(rec["i"], rec["m"], rec["u"], rec["v"]) for rec in recs])
+
+
+def _scan(key, i):
+    """The scan of :meth:`ExtMonomial.scan` for a checked index, unrecorded.
+
+    One pass over the canonical key (index-``i`` entries in increasing
+    ``m``).  While the total equals phi~ (``held``), the run of maxima
+    reaches the next support position minus 1.  A run still held at the
+    last position means eps~ = 0, so ``m_e`` is not read from it.
+    """
+    tu = tv = pu = pv = 0  # running total and phi~, both the empty sum
+    first = last = None  # first and last position holding phi~
+    held = False
+    for j, m, u, v in key:
+        if j != i:
+            continue
+        if held:
+            last = m - 1
+        elif first is None:  # the empty sum holds at min support - 1
+            first = last = m - 1
+        tu, tv = tu + u, tv + v
+        if tu > pu or (tu == pu and tv > pv):
+            pu, pv, first, held = tu, tv, m, True
+        else:
+            held = tu == pu and tv == pv
+    if first is None:
+        return ScanResult(PAIR_ZERO, PAIR_ZERO, None, None)
+    phi_pair, eps_pair = (pu, pv), (pu - tu, pv - tv)
+    m_f = first if phi_pair > PAIR_ZERO else None
+    m_e = last if eps_pair > PAIR_ZERO else None
+    return ScanResult(phi_pair, eps_pair, m_f, m_e)
 
 
 def _build(base, factors):
@@ -211,6 +246,7 @@ def _build(base, factors):
     mono = object.__new__(ExtMonomial)
     mono._exp = exp
     mono._key = tuple(sorted(exp.values()))
+    mono._scans = None
     return mono
 
 

@@ -224,18 +224,24 @@ def check_bookkeeping(count=10000, seed=20260313):
                     report.fail(f"e_{i} f_{i} != id at {mono.text()}")
                 if weight_sub(wt, down.wt()) != simple_root(i):
                     report.fail(f"f_{i} weight step wrong at {mono.text()}")
-                if res.m_f is None or mono.exponent(i, res.m_f) <= (0, 0):
-                    report.fail(f"m_f position not positive at {mono.text()}")
-                if mono.exponent(i, res.m_f + 1) > (0, 0):
-                    report.fail(f"exponent after m_f positive at {mono.text()}")
+                if res.m_f is None:
+                    report.fail(f"no m_f where f_{i} acts at {mono.text()}")
+                else:
+                    if mono.exponent(i, res.m_f) <= (0, 0):
+                        report.fail(f"m_f position not positive at {mono.text()}")
+                    if mono.exponent(i, res.m_f + 1) > (0, 0):
+                        report.fail(f"exponent after m_f positive at {mono.text()}")
             up = mono.e(i)
             if up is not None:
                 if up.f(i) != mono:
                     report.fail(f"f_{i} e_{i} != id at {mono.text()}")
-                if mono.exponent(i, res.m_e + 1) >= (0, 0):
-                    report.fail(f"exponent after m_e not negative at {mono.text()}")
-                if mono.exponent(i, res.m_e) < (0, 0):
-                    report.fail(f"exponent at m_e negative at {mono.text()}")
+                if res.m_e is None:
+                    report.fail(f"no m_e where e_{i} acts at {mono.text()}")
+                else:
+                    if mono.exponent(i, res.m_e + 1) >= (0, 0):
+                        report.fail(f"exponent after m_e not negative at {mono.text()}")
+                    if mono.exponent(i, res.m_e) < (0, 0):
+                        report.fail(f"exponent at m_e negative at {mono.text()}")
     return report
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -463,3 +464,62 @@ def test_from_json_multiplies_repeated_factors():
     for i in (0, 3):
         with pytest.raises(ValueError, match="index must be 1 or 2"):
             ExtMonomial.from_json([rec(i, 0, 1, 0)])
+
+
+@pytest.mark.parametrize("other", [3, None, "x"], ids=repr)
+def test_product_with_a_non_monomial_is_a_type_error(other):
+    with pytest.raises(TypeError):
+        highest_monomial() * other
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(exp=_exponent_maps)
+def test_recorded_scan_is_the_reference_scan(exp):
+    """A recorded scan reads back as the reference, whether ``f``/``e`` ran
+    before it was recorded or after, and ``f``/``e`` give the same results
+    from a recorded scan as without one."""
+    mono = ExtMonomial(exp)
+    refs = {i: _reference_scan(mono, i) for i in INDEX_SET}
+    for i in INDEX_SET:
+        unrecorded = (mono.f(i), mono.e(i))
+        assert mono.scan(i) == mono.scan(i) == refs[i], (mono.text(), i)
+        assert (mono.f(i), mono.e(i)) == unrecorded, (mono.text(), i)
+        assert mono.scan(i) == refs[i], (mono.text(), i)
+
+
+def test_recorded_scans_leave_identity_and_output_alone():
+    rng = random.Random(26)
+    for _ in range(200):
+        exp = _pair_map(_random_monomial(rng))
+        fresh, scanned = ExtMonomial(exp), ExtMonomial(exp)
+        for i in INDEX_SET:
+            scanned.scan(i)
+        assert scanned._scans is not None and fresh._scans is None
+        assert scanned == fresh and hash(scanned) == hash(fresh)
+        assert scanned.key() == fresh.key() and scanned.text() == fresh.text()
+        assert scanned.to_json() == fresh.to_json()
+        copied = pickle.loads(pickle.dumps(scanned))
+        assert copied == fresh and hash(copied) == hash(fresh)
+        assert copied.key() == fresh.key()
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, 3, None], ids=repr)
+@pytest.mark.parametrize("method", ["scan", "eps", "phi", "eps_pair", "phi_pair", "f", "e"])
+def test_index_is_checked_before_a_recorded_scan_is_read(method, bad):
+    """``True`` and ``1.0`` hash like ``1``, so a lookup before the index
+    check would hand them the recorded scan of index 1."""
+    mono = highest_monomial().f(1)
+    mono.scan(1)
+    with pytest.raises(ValueError, match="index must be 1 or 2"):
+        getattr(mono, method)(bad)
+
+
+def test_operators_record_no_scan():
+    """Only ``scan`` records, so a graph made by ``bfs``, which only lowers,
+    holds no recorded scan."""
+    graph = bfs(highest_monomial(), 10, "monomial")
+    assert len(graph.nodes) > 100
+    assert all(mono._scans is None for mono, _depth in graph.nodes.values())
+    mono = highest_monomial().f(1).f(2)
+    assert mono.f(1) is not None and mono.e(2) is not None
+    assert mono._scans is None

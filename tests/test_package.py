@@ -91,6 +91,55 @@ def test_one_monomial_key_builder():
     assert calls(ast.walk(builders[0])) == found
 
 
+def test_only_scan_records_a_monomial_scan():
+    """In ``monomials.py`` every function but ``scan`` sets ``_scans`` only to
+    ``None`` and never stores into it, so operators never record a scan and
+    the graphs ``bfs`` makes carry none."""
+    nodes = [node for name, node in _package_nodes() if name == "monomials.py"]
+    functions = [node for node in nodes if isinstance(node, ast.FunctionDef)]
+    assert "scan" in {func.name for func in functions}
+
+    def is_memo(node):
+        return isinstance(node, ast.Attribute) and node.attr == "_scans"
+
+    def is_none(node):
+        return isinstance(node, ast.Constant) and node.value is None
+
+    def bindings(assign):
+        for target in assign.targets:
+            if isinstance(target, ast.Tuple) and isinstance(assign.value, ast.Tuple):
+                yield from zip(target.elts, assign.value.elts)
+            else:
+                yield target, assign.value
+
+    writers = set()
+    for func in functions:
+        assigns = [node for node in ast.walk(func) if isinstance(node, ast.Assign)]
+        # local names for the memo, as in ``scans = self._scans``
+        aliases = {
+            target.id for node in assigns
+            if is_memo(node.value) or any(is_memo(target) for target in node.targets)
+            for target in node.targets if isinstance(target, ast.Name)
+        }
+
+        def memo(node):
+            return is_memo(node) or isinstance(node, ast.Name) and node.id in aliases
+
+        for node in ast.walk(func):
+            if (
+                isinstance(node, ast.Assign) and any(
+                    is_memo(target) and not is_none(value) for target, value in bindings(node))
+                or isinstance(node, (ast.Subscript, ast.Attribute))
+                and isinstance(node.ctx, (ast.Store, ast.Del)) and memo(node.value)
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("setdefault", "update", "pop", "popitem", "clear",
+                                       "__setitem__")
+                and memo(node.func.value)
+            ):
+                writers.add(func.name)
+    assert writers == {"scan"}
+
+
 def test_count_json_reads_no_field_table():
     """No module calls ``dataclasses.fields`` or binds ``COUNT_FIELDS`` or
     ``_JSON_FIELDS``: count JSON is the instance fields, written one way."""

@@ -64,6 +64,11 @@ def _off_root(fault):
     return make
 
 
+def _scan_other_index(orig):
+    """A scan that reads the other index's prefix sums."""
+    return lambda self, i: orig(self, 3 - i)
+
+
 def _drop_r(orig):
     """A shift that ignores the requested ``r`` and keeps the element's own."""
     return lambda self, p1, p2, r: orig(self, p1, p2, self.r)
@@ -83,6 +88,7 @@ FAULTS = {
     "shift-wrong-e": ("shift", 2, "minf", "e", _wrong_off_family),
     "shift-with-params-drops-r": ("shift", 2, "minf", "with_params", _drop_r),
     "bookkeeping-wrong-e": ("bookkeeping", 200, "monomial", "e", _self_where_defined),
+    "bookkeeping-scan-swaps-index": ("bookkeeping", 200, "monomial", "scan", _scan_other_index),
     "involution-wrong-e": ("involution", 2, "tableaux", "e", _self_where_defined),
 }
 
