@@ -11,9 +11,9 @@ with seven nonnegative counts (``b0 <= 1``) and family parameters
 ``(p1, p2, r)``; the defaults ``(1, 1, 0)`` give M(infinity) proper.  The
 ``X`` change of variables is one table, ``_X_TO_Y``, that lists each
 letter's ``Y`` factors as ``(i, offset, power)`` rows; :func:`x_monomial`
-and ``to_monomial`` read it, and membership of a raw monomial is decided by the
-support shape and three conditions on the exponents, which
-:func:`minf_from_monomial` checks while it inverts the change of variables.
+and ``to_monomial`` read it.  Membership of a raw monomial is one read of
+its exponents at the eight positions a member can use (``_member_counts``),
+shared by :func:`is_minf_monomial` and :func:`minf_from_monomial`.
 
 The structure maps are read off the counts without expanding: the weight is
 linear in them (and independent of ``(p1, p2, r)``), ``eps_i`` is the number
@@ -62,6 +62,8 @@ def x_monomial(letter, m, u, v):
     """Expand ``X_letter(m)^(u,v)`` into Y-variables."""
     if letter not in _X_TO_Y:
         raise ValueError(f"unknown X letter {letter!r}")
+    if not (type(m) is type(u) is type(v) is int):
+        raise ValueError(f"X_{letter}({m!r})^({u!r}, {v!r}): position and exponents must be ints")
     return ExtMonomial({(i, m + offset): (power * u, power * v)
                         for i, offset, power in _X_TO_Y[letter]})
 
@@ -204,67 +206,48 @@ def highest_minf(p1=1, p2=1, r=0):
 
 def _member_counts(monomial, p1, p2, r):
     """The seven counts of a member of M(p1, p2; r; infinity), or ``None``
-    for a non-member.
+    for a non-member; ``MinfElement``'s ``ValueError`` for parameters that
+    name no family.
 
-    Membership is the support shape and the three defining conditions on
-    the ordinary exponents: the sign constraints, the two linear relations,
-    and the shared-parity nonnegativity constraint.  The counts follow by
-    the inverse change of variables
+    Eight reads, at Y_1(r-1..r+2) and Y_2(r-2..r+1): the support fits when
+    the nonzero reads make up the whole key, the u-components must read
+    ``(p1, 0, 0, 0, p2, 0, 0, 0)``, and the v-components must meet the two
+    linear relations.  Their sum is s1 + s2 mod 2, so they also give
+    s1 = a1^r + a2^{r-1} - a2^{r-2} and s2 = -a1^{r+1} - a2^{r+1} the shared
+    parity that fixes b0 = s1 mod 2.  The counts of the inverse change of
+    variables must then all be nonnegative:
 
     b2 = a2^{r-1} - a2^{r-2},  b2bar = -a2^{r+1},  b1bar = -a1^{r+2},
-    b3low = -a2^{r-2}, and the parity split fixing b0 in {0, 1} with
-    2*b3 = a1^r + a2^{r-1} - a2^{r-2} - b0 and 2*b3bar = -a1^{r+1} - a2^{r+1} - b0.
+    b3low = -a2^{r-2},  2*b3 = s1 - b0,  2*b3bar = s2 - b0.
     """
-    allowed = {
-        (1, r - 1): p1,
-        (1, r): 0,
-        (1, r + 1): 0,
-        (1, r + 2): 0,
-        (2, r - 2): p2,
-        (2, r - 1): 0,
-        (2, r): 0,
-        (2, r + 1): 0,
-    }
-    for i, m, _u, _v in monomial.key():
-        if (i, m) not in allowed:
-            return None
-    a = {}
-    for (i, m), u_req in allowed.items():
-        u, v = monomial.exponent(i, m)
-        if u != u_req:
-            return None
-        a[(i, m)] = v
-    a1m1, a10, a11, a12 = (a[(1, r - 1)], a[(1, r)], a[(1, r + 1)], a[(1, r + 2)])
-    a2m2, a2m1, a20, a21 = (a[(2, r - 2)], a[(2, r - 1)], a[(2, r)], a[(2, r + 1)])
-    if a2m2 - a2m1 > 0 or a21 > 0 or a12 > 0 or a2m2 > 0:
+    highest_minf(p1, p2, r)  # MinfElement's family rule
+    reads = ([monomial.exponent(1, m) for m in range(r - 1, r + 3)]
+             + [monomial.exponent(2, m) for m in range(r - 2, r + 2)])
+    if sum(map(any, reads)) != len(monomial.key()):
         return None
-    if (a1m1 - a11 - a12) + (2 * a2m2 + a2m1 - a20 - 2 * a21) != 0:
+    if [u for u, _v in reads] != [p1, 0, 0, 0, p2, 0, 0, 0]:
         return None
-    if (a1m1 + a10 - a12) + (a2m2 + 2 * a2m1 + a20 - a21) != 0:
+    a1m1, a10, a11, a12, a2m2, a2m1, a20, a21 = [v for _u, v in reads]
+    if ((a1m1 - a11 - a12) + (2 * a2m2 + a2m1 - a20 - 2 * a21) != 0
+            or (a1m1 + a10 - a12) + (a2m2 + 2 * a2m1 + a20 - a21) != 0):
         return None
-    s1 = a10 + a2m1 - a2m2
-    s2 = -a11 - a21
-    if s1 < 0 or s2 < 0 or s1 % 2 != s2 % 2:
-        return None
+    s1, s2 = a10 + a2m1 - a2m2, -a11 - a21
     b0 = s1 % 2
-    return {
-        "b2": a2m1 - a2m2,
-        "b3": (s1 - b0) // 2,
-        "b0": b0,
-        "b3bar": (s2 - b0) // 2,
-        "b2bar": -a21,
-        "b1bar": -a12,
-        "b3low": -a2m2,
-    }
+    counts = {"b2": a2m1 - a2m2, "b3": (s1 - b0) // 2, "b0": b0, "b3bar": (s2 - b0) // 2,
+              "b2bar": -a21, "b1bar": -a12, "b3low": -a2m2}
+    return counts if min(counts.values()) >= 0 else None
 
 
 def is_minf_monomial(monomial, p1=1, p2=1, r=0):
-    """Membership of a raw monomial in M(p1, p2; r; infinity)."""
+    """Membership of a raw monomial in M(p1, p2; r; infinity): eight exponent
+    reads with the u-pattern ``(p1, 0, 0, 0, p2, 0, 0, 0)``, two linear
+    relations (which fix the parity) and nonnegative counts; ``ValueError``
+    for parameters that name no family."""
     return _member_counts(monomial, p1, p2, r) is not None
 
 
 def minf_from_monomial(monomial, p1=1, p2=1, r=0):
-    """Canonical count vector of a member; ``ValueError`` for a non-member."""
+    """Canonical count vector of a member; ``ValueError`` otherwise."""
     counts = _member_counts(monomial, p1, p2, r)
     if counts is None:
         raise ValueError(f"not a member of M({p1},{p2};{r};infinity): {monomial.text()}")

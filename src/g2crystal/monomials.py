@@ -125,9 +125,9 @@ class ExtMonomial:
         """Prefix-sum extrema for index ``i``.
 
         Returns phi~_i, eps~_i and the arg-max positions ``m_f`` (smallest)
-        and ``m_e`` (largest); a position is ``None`` when the corresponding
-        operator does not act, in which case the true arg-max set is
-        unbounded on that side.
+        and ``m_e`` (largest); a position is ``None`` exactly when its map,
+        phi~_i or eps~_i, is (0, 0): the operator does not act, and the true
+        arg-max set is unbounded on that side.
 
         The only method that records a scan: the first call for ``i`` stores
         its result on the instance, and later calls, the structure maps and
@@ -157,23 +157,13 @@ class ExtMonomial:
 
     def f(self, i):
         check_index(i)
-        scans = self._scans
-        res = scans.get(i) if scans is not None else None
-        if res is None:
-            res = _scan(self._key, i)
-        if res.phi_pair == PAIR_ZERO:
-            return None
-        return _build(self._exp, _a_factors(i, res.m_f, -1))
+        pos = (self._scans and self._scans.get(i) or _scan(self._key, i)).m_f
+        return None if pos is None else _build(self._exp, _a_factors(i, pos, -1))
 
     def e(self, i):
         check_index(i)
-        scans = self._scans
-        res = scans.get(i) if scans is not None else None
-        if res is None:
-            res = _scan(self._key, i)
-        if res.eps_pair == PAIR_ZERO:
-            return None
-        return _build(self._exp, _a_factors(i, res.m_e, 1))
+        pos = (self._scans and self._scans.get(i) or _scan(self._key, i)).m_e
+        return None if pos is None else _build(self._exp, _a_factors(i, pos, 1))
 
     # -- serialization ---------------------------------------------------
 
@@ -275,6 +265,8 @@ def a_monomial(i, m, sign=1):
 
 def highest_monomial(p1=1, p2=1, r=0):
     """The dominant seed ``Y_1(r-1)^(p1,0) Y_2(r-2)^(p2,0)``."""
+    if type(r) is not int:
+        raise ValueError(f"r must be an int, got {r!r}")
     return ExtMonomial({(1, r - 1): (p1, 0), (2, r - 2): (p2, 0)})
 
 

@@ -9,6 +9,7 @@ import pytest
 from g2crystal.cartan import INDEX_SET
 from g2crystal.graph import bfs
 from g2crystal.minf import (
+    _member_counts,
     MinfElement,
     highest_minf,
     is_minf_monomial,
@@ -79,6 +80,17 @@ def test_x_monomial_expansions():
     for letter in ("4", "3low", "", None):
         with pytest.raises(ValueError, match="unknown X letter"):
             x_monomial(letter, 0, 0, 1)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0], ids=repr)
+@pytest.mark.parametrize("slot", [0, 1, 2], ids=["m", "u", "v"])
+def test_x_monomial_refuses_non_int_arguments(slot, bad):
+    """``m + offset`` and ``power * u`` would turn ``True`` into an int
+    before the constructor's check saw it."""
+    args = [1, 1, 0]
+    args[slot] = bad
+    with pytest.raises(ValueError, match="position and exponents must be ints"):
+        x_monomial("1", *args)
 
 
 # The if-chain substitution and expansion that the ``_X_TO_Y`` table
@@ -474,3 +486,121 @@ def test_positional_construction_matches_replace_reference(monkeypatch):
         want = images()
     assert images() == want
     assert sum(img is None for img in want) > 0 and ValueError not in want
+
+
+# The dict-based membership body the positional read replaced, kept as the
+# reference; it takes valid family parameters only.
+def _reference_member_counts(monomial, p1, p2, r):
+    allowed = {
+        (1, r - 1): p1,
+        (1, r): 0,
+        (1, r + 1): 0,
+        (1, r + 2): 0,
+        (2, r - 2): p2,
+        (2, r - 1): 0,
+        (2, r): 0,
+        (2, r + 1): 0,
+    }
+    for i, m, _u, _v in monomial.key():
+        if (i, m) not in allowed:
+            return None
+    a = {}
+    for (i, m), u_req in allowed.items():
+        u, v = monomial.exponent(i, m)
+        if u != u_req:
+            return None
+        a[(i, m)] = v
+    a1m1, a10, a11, a12 = (a[(1, r - 1)], a[(1, r)], a[(1, r + 1)], a[(1, r + 2)])
+    a2m2, a2m1, a20, a21 = (a[(2, r - 2)], a[(2, r - 1)], a[(2, r)], a[(2, r + 1)])
+    if a2m2 - a2m1 > 0 or a21 > 0 or a12 > 0 or a2m2 > 0:
+        return None
+    if (a1m1 - a11 - a12) + (2 * a2m2 + a2m1 - a20 - 2 * a21) != 0:
+        return None
+    if (a1m1 + a10 - a12) + (a2m2 + 2 * a2m1 + a20 - a21) != 0:
+        return None
+    s1 = a10 + a2m1 - a2m2
+    s2 = -a11 - a21
+    if s1 < 0 or s2 < 0 or s1 % 2 != s2 % 2:
+        return None
+    b0 = s1 % 2
+    return {
+        "b2": a2m1 - a2m2,
+        "b3": (s1 - b0) // 2,
+        "b0": b0,
+        "b3bar": (s2 - b0) // 2,
+        "b2bar": -a21,
+        "b1bar": -a12,
+        "b3low": -a2m2,
+    }
+
+
+# Offsets from r of the eight support positions of a member, then of the
+# four just outside them.
+_NUDGE_POSITIONS = ((1, -1), (1, 0), (1, 1), (1, 2), (2, -2), (2, -1), (2, 0), (2, 1),
+                    (1, -2), (1, 3), (2, -3), (2, 2))
+
+
+@pytest.mark.parametrize("params", [(1, 1, 0), (2, 3, -2), (3, 1, 3), (1, 2, 5)])
+def test_member_counts_match_reference(params):
+    """20,000 sampled monomials; 2,000 Y-forms of integer count vectors,
+    which meet the linear relations but may break a sign or ``b0 <= 1``;
+    and every depth-8 element with the exponent at each of its eight
+    support positions, or at one of the four just outside them, nudged by
+    +-1 and +-2 in u and in v."""
+    p1, p2, r = params
+    rng = random.Random(37)
+    monos = [random_monomial(rng) for _ in range(20000)]
+    monos += [yform_oracle(*(rng.randint(-2, 2) for _ in range(7)), *params)
+              for _ in range(2000)]
+    nudges = [ExtMonomial({(i, r + offset): pair})
+              for i, offset in _NUDGE_POSITIONS for d in (1, -1, 2, -2)
+              for pair in ((0, d), (d, 0))]
+    for elem, _depth in bfs(highest_minf(*params), 8, "minf").nodes.values():
+        mono = elem.to_monomial()
+        monos += [mono] + [mono * nudge for nudge in nudges]
+    assert len(monos) == 22000 + 176 * 97
+    members = 0
+    for mono in monos:
+        counts = _member_counts(mono, *params)
+        assert counts == _reference_member_counts(mono, *params), (mono.text(), params)
+        members += counts is not None
+    assert 176 < members < len(monos)
+
+
+def test_linear_relations_force_the_shared_parity():
+    """The relations' sum is s1 + s2 mod 2, so ``_member_counts`` needs no
+    parity test: every v-vector meeting them, with six free exponents in
+    -3..3 and a1^{r-1}, a1^r solved for, has s1 and s2 of one parity."""
+    for a11, a12, a2m2, a2m1, a20, a21 in itertools.product(range(-3, 4), repeat=6):
+        a1m1 = a11 + a12 - 2 * a2m2 - a2m1 + a20 + 2 * a21
+        a10 = -a1m1 + a12 - a2m2 - 2 * a2m1 - a20 + a21
+        assert (a1m1 - a11 - a12) + (2 * a2m2 + a2m1 - a20 - 2 * a21) == 0
+        assert (a1m1 + a10 - a12) + (a2m2 + 2 * a2m1 + a20 - a21) == 0
+        assert (a10 + a2m1 - a2m2) % 2 == (-a11 - a21) % 2
+
+
+@pytest.mark.parametrize(
+    "params, accepted",
+    [
+        ((0, 1, 0), ExtMonomial({(2, -2): (1, 0)})),
+        ((1, 0, 0), ExtMonomial({(1, -1): (1, 0)})),
+        ((True, 1, 0), highest_monomial()),
+        ((1, 1, 0.0), highest_monomial()),
+        ((2.0, 1, 0), ExtMonomial({(1, -1): (2, 0), (2, -2): (1, 0)})),
+    ],
+    ids=repr,
+)
+def test_invalid_parameters_raise_the_family_error_on_both_entry_points(params, accepted):
+    """Parameters that name no family raise ``MinfElement``'s ``ValueError``
+    from both entry points, on any monomial; ``accepted`` is one the
+    dict-based body took as a member."""
+    assert _reference_member_counts(accepted, *params) is not None
+    with pytest.raises(ValueError) as family:
+        highest_minf(*params)
+    rng = random.Random(41)
+    for mono in [accepted, highest_monomial(), ExtMonomial()] + [
+            random_monomial(rng) for _ in range(20)]:
+        for entry in (is_minf_monomial, minf_from_monomial):
+            with pytest.raises(ValueError) as exc:
+                entry(mono, *params)
+            assert str(exc.value) == str(family.value), (entry.__name__, mono.text())

@@ -523,3 +523,38 @@ def test_operators_record_no_scan():
     mono = highest_monomial().f(1).f(2)
     assert mono.f(1) is not None and mono.e(2) is not None
     assert mono._scans is None
+
+
+def _assert_positions_mark_the_maps(mono):
+    """``m_f`` is ``None`` exactly when phi~ is (0, 0), and ``m_e`` exactly
+    when eps~ is, so ``f``/``e`` may decide on the position alone."""
+    for i in INDEX_SET:
+        res = mono.scan(i)
+        assert (res.m_f is None) == (res.phi_pair == PAIR_ZERO), (mono.text(), i)
+        assert (res.m_e is None) == (res.eps_pair == PAIR_ZERO), (mono.text(), i)
+        assert (mono.f(i) is None) == (res.m_f is None), (mono.text(), i)
+        assert (mono.e(i) is None) == (res.m_e is None), (mono.text(), i)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(exp=_exponent_maps)
+def test_scan_positions_mark_the_maps_on_arbitrary_maps(exp):
+    _assert_positions_mark_the_maps(ExtMonomial(exp))
+
+
+def test_scan_positions_mark_the_maps_on_draws_and_the_graph():
+    rng = random.Random(27)
+    monos = [random_monomial(rng) for _ in range(2000)]
+    monos += [mono for mono, _depth in bfs(highest_monomial(), 10, "monomial").nodes.values()]
+    for mono in monos:
+        _assert_positions_mark_the_maps(mono)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0], ids=repr)
+def test_highest_monomial_refuses_a_non_int_r(bad):
+    """``r - 1`` would turn ``True`` into the int 0 before any check saw it."""
+    with pytest.raises(ValueError, match="r must be an int"):
+        highest_monomial(1, 1, bad)
+    for params in ((bad, 1, 0), (1, bad, 0)):
+        with pytest.raises(ValueError, match="must be ints"):
+            highest_monomial(*params)

@@ -2,8 +2,8 @@
 through one live ``signature`` method, no invariant rests on ``assert``,
 the realization names are registered in one table, one builder makes
 every monomial and sorts its key, count elements write their JSON from
-their own fields, and the methods shared by the count elements are
-written once."""
+their own fields, the methods shared by the count elements are written
+once, and so is the rule for which parameters name an M(infinity) family."""
 
 from __future__ import annotations
 
@@ -187,3 +187,31 @@ def test_cliff_counts_keep_the_shared_message(field):
     with pytest.raises(ValueError) as exc:
         CliffElement(**field)
     assert str(exc.value) == f"counts must be nonnegative integers, got {counts}"
+
+
+def test_one_family_rule():
+    """In ``minf.py`` only ``MinfElement.__post_init__`` compares ``p1`` or
+    ``p2`` with 1, so the rule for which parameters name a family is written
+    once; membership reaches it by building the family's highest element."""
+    tree = ast.parse(Path(g2crystal.minf.__file__).read_text(encoding="utf-8"))
+
+    def rule_compares(root):
+        found = []
+        for node in ast.walk(root):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(isinstance(op, ast.Constant) and op.value == 1 for op in operands) and any(
+                    isinstance(op, ast.Name) and op.id in ("p1", "p2")
+                    or isinstance(op, ast.Attribute) and op.attr in ("p1", "p2")
+                    for op in operands
+                ):
+                    found.append(f"{ast.unparse(node)}:{node.lineno}")
+        return found
+
+    owner = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "MinfElement")
+    post_init = next(node for node in owner.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "__post_init__")
+    allowed = rule_compares(post_init)
+    assert len(allowed) == 2, allowed
+    assert rule_compares(tree) == allowed
