@@ -24,9 +24,9 @@ the seven counts ``(b2, b3, b0, b3bar, b2bar, b1bar, b3low)``: nonnegative
 integers with ``b0 <= 1``; the tensor products store six counts.
 :class:`CountElement`, the base of all three, validates ``counts()`` and
 writes ``key``, ``phi`` and the JSON (the fields, omitted ones taken from the
-highest element) once.  :class:`CountVector` adds the seven-count storage
-and the reduced signature with ``eps``; :func:`reduce_signature` is the
-(0,1) cancellation that every signature rule ends with.  It works on runs
+highest element) once.  :class:`CountVector` adds the seven-count storage,
+the weight and the reduced signature with ``eps``; :func:`reduce_signature`
+is the (0,1) cancellation that every signature rule ends with.  It works on runs
 of equal symbols, so a signature rule costs the same at any count.  The
 rules that build the run-length signature words and act on them stay with
 each realization.
@@ -155,8 +155,9 @@ def reduce_signature(runs):
 
 @dataclass(frozen=True)
 class CountElement:
-    """Base of the count realizations: each subclass gives ``counts()``,
-    ``wt()`` and ``eps(i)``, and its fields are its JSON."""
+    """Base of the count realizations: each subclass gives ``counts()`` and
+    ``eps(i)``, and its fields are its JSON; ``phi`` reads the ``wt()`` of
+    :class:`CountVector` or of the tensor products."""
 
     def __post_init__(self):
         counts = self.counts()
@@ -197,6 +198,18 @@ class CountVector(CountElement):
 
     def counts(self):
         return (self.b2, self.b3, self.b0, self.b3bar, self.b2bar, self.b1bar, self.b3low)
+
+    def wt(self):
+        """Weight in Lambda-coordinates: the counts lower it by positive roots,
+        b2 by alpha_1, b3 by alpha_1+alpha_2, b3bar by 3alpha_1+alpha_2, b2bar
+        by 3alpha_1+2alpha_2, b3low by alpha_2, and b0 <= 1 and b1bar by once
+        and twice 2alpha_1+alpha_2, so the count vectors of a weight are its
+        Kostant partitions."""
+        return (
+            -2 * self.b2 + self.b3 - self.b0 - 3 * self.b3bar - 2 * self.b1bar
+            + 3 * self.b3low,
+            self.b2 - self.b3 + self.b3bar - self.b2bar - 2 * self.b3low,
+        )
 
     def signature(self, i):
         """Reduced i-signature: the runs ``(symbol, tag, mult)`` of ``signature_word(i)``

@@ -96,12 +96,14 @@ def _identity(elem):
 def _monomial_to_minf(mono):
     """Parse a raw monomial as a member of the family it names: ``p1`` and
     ``p2`` are the u-totals of its extended weight, and the Y_1 factor
-    carrying ``p1`` sits at ``r - 1``.  ``ValueError`` for a non-member."""
+    carrying ``p1`` sits at ``r - 1``.  Any family's members name it, so a
+    non-member of the named family is a member of none: ``ValueError``."""
     (p1, _v1), (p2, _v2) = mono.wt_pairs()
-    if p1 < 1 or p2 < 1:
-        raise ValueError(f"not a member of any M(p1,p2;r;infinity): {mono.text()}")
     r = next((m + 1 for i, m, u, _v in mono.key() if i == 1 and u != 0), 0)
-    return minf_from_monomial(mono, p1, p2, r)
+    try:
+        return minf_from_monomial(mono, p1, p2, r)
+    except ValueError:
+        raise ValueError(f"not a member of any M(p1,p2;r;infinity): {mono.text()}") from None
 
 
 Realization = namedtuple("Realization", "cls highest to_minf from_minf")

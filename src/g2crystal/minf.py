@@ -16,8 +16,9 @@ its exponents at the eight positions a member can use (``_member_counts``),
 shared by :func:`is_minf_monomial` and :func:`minf_from_monomial`.
 
 The structure maps are read off the counts without expanding: the weight is
-linear in them (and independent of ``(p1, p2, r)``), ``eps_i`` is the number
-of 1s surviving in the reduced i-signature, and ``phi_i = eps_i + <h_i, wt>``.
+``CountVector.wt``, linear in them and so independent of ``(p1, p2, r)``,
+``eps_i`` is the number of 1s surviving in the reduced i-signature, and
+``phi_i = eps_i + <h_i, wt>``.
 The verification suites compare them with the maps of the expanded
 Y-monomial, which stays the independent oracle.
 
@@ -60,7 +61,7 @@ _X_TO_Y = {
 
 def x_monomial(letter, m, u, v):
     """Expand ``X_letter(m)^(u,v)`` into Y-variables."""
-    if letter not in _X_TO_Y:
+    if type(letter) is not str or letter not in _X_TO_Y:
         raise ValueError(f"unknown X letter {letter!r}")
     if not (type(m) is type(u) is type(v) is int):
         raise ValueError(f"X_{letter}({m!r})^({u!r}, {v!r}): position and exponents must be ints")
@@ -84,8 +85,8 @@ class MinfElement(CountVector):
             raise ValueError("family parameters p1, p2 must be positive")
 
     # Bound here as well as inherited: bench/tracer.py traces a class's own __dict__.
-    signature, eps, phi, to_json = (
-        CountVector.signature, CountVector.eps, CountVector.phi, CountVector.to_json)
+    wt, signature, eps, phi, to_json = (CountVector.wt, CountVector.signature,
+                                        CountVector.eps, CountVector.phi, CountVector.to_json)
 
     def params(self):
         return (self.p1, self.p2, self.r)
@@ -117,16 +118,6 @@ class MinfElement(CountVector):
         return _build({}, [(i, m + offset, power * u, power * v)
                            for letter, m, u, v in self.x_factors()
                            for i, offset, power in _X_TO_Y[letter]])
-
-    # -- structure maps (closed forms on the counts) -------------------------
-
-    def wt(self):
-        """Weight in Lambda-coordinates; the family parameters cancel out."""
-        return (
-            -2 * self.b2 + self.b3 - self.b0 - 3 * self.b3bar - 2 * self.b1bar
-            + 3 * self.b3low,
-            self.b2 - self.b3 + self.b3bar - self.b2bar - 2 * self.b3low,
-        )
 
     # -- signature-rule operators ------------------------------------------
 

@@ -264,10 +264,10 @@ def a_monomial(i, m, sign=1):
 
 
 def highest_monomial(p1=1, p2=1, r=0):
-    """The dominant seed ``Y_1(r-1)^(p1,0) Y_2(r-2)^(p2,0)``."""
-    if type(r) is not int:
-        raise ValueError(f"r must be an int, got {r!r}")
-    return ExtMonomial({(1, r - 1): (p1, 0), (2, r - 2): (p2, 0)})
+    """The dominant seed ``Y_1(r-1)^(p1,0) Y_2(r-2)^(p2,0)``: the highest element of
+    M(p1, p2; r; infinity) expanded, so ``ValueError`` where that names no family."""
+    from .minf import highest_minf  # function level: minf imports this module
+    return highest_minf(p1, p2, r).to_monomial()
 
 
 def classify_seed(monomial):

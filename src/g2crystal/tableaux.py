@@ -14,20 +14,22 @@ A marginally large tableau has two rows: row 2 is a single 2 followed by
 of row 2.  Such tableaux are summarized by the count vector
 ``(b2, b3, b0, b3bar, b2bar, b1bar, b3low)``: counts of the letters above 1
 in row 1, then the number of 3s in row 2.  The counts are a complete
-invariant.  The operators follow the literal steps: far-eastern reading,
-signature word with (0,1) cancellation, box replacement, and column
-insertion or removal to restore marginal largeness.  They act on runs of the
-reading, not on a materialised grid: the reading is at most nine units of
-equal boxes or columns, each unit's signature symbols form runs, and a
-surviving symbol's offset in its run gives its box; ``signature(i)`` is the
-reduced word in that run form.  So the cost does not grow with the counts.
+invariant, and the weight is ``CountVector.wt``, the count formula that
+M(infinity) uses too.  The operators follow the literal steps:
+far-eastern reading, signature word with (0,1) cancellation, box
+replacement, and column insertion or removal to restore marginal largeness.
+They act on runs of the reading, not on a materialised grid: the reading is
+at most nine units of equal boxes or columns, each unit's signature symbols
+form runs, and a surviving symbol's offset in its run gives its box;
+``signature(i)`` is the reduced word in that run form.  So the cost does not
+grow with the counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import CountVector, check_index, roots_to_weight
+from .cartan import CountVector, check_index
 
 LETTER_NAMES = ("1", "2", "3", "0", "3b", "2b", "1b")
 L1, L2, L3, L0, L3B, L2B, L1B = range(7)
@@ -70,8 +72,8 @@ class MLTableau(CountVector):
     """A marginally large G2 tableau, stored as its count vector."""
 
     # Bound here as well as inherited: bench/tracer.py traces a class's own __dict__.
-    key, signature, eps, phi, to_json = (CountVector.key, CountVector.signature,
-                                         CountVector.eps, CountVector.phi, CountVector.to_json)
+    key, wt, signature, eps, phi, to_json = (CountVector.key, CountVector.wt, CountVector.signature,
+                                             CountVector.eps, CountVector.phi, CountVector.to_json)
 
     def rows(self):
         row1 = (
@@ -181,18 +183,6 @@ class MLTableau(CountVector):
                 f"leaves no marginally large tableau (counts {self.counts()})"
             )
         return MLTableau(*n)
-
-    # -- structure maps --------------------------------------------------------
-
-    def wt(self):
-        """Weight in Lambda-coordinates, from the count formula
-
-        wt = -(b2 + b3 + 2 b0 + 3 b3bar + 3 b2bar + 4 b1bar) alpha_1
-             -(b3 + b0 + b3bar + 2 b2bar + 2 b1bar + b3low) alpha_2.
-        """
-        a = self.b2 + self.b3 + 2 * self.b0 + 3 * self.b3bar + 3 * self.b2bar + 4 * self.b1bar
-        b = self.b3 + self.b0 + self.b3bar + 2 * self.b2bar + 2 * self.b1bar + self.b3low
-        return roots_to_weight(-a, -b)
 
     # -- serialization -----------------------------------------------------------
 

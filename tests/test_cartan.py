@@ -8,6 +8,8 @@ from g2crystal.cartan import (
     CARTAN,
     INDEX_SET,
     PAIR_ZERO,
+    POSITIVE_ROOTS,
+    CountVector,
     pair_add,
     pairing,
     roots_to_weight,
@@ -53,6 +55,26 @@ def test_root_conversion_round_trip():
         assert weight_to_roots(roots_to_weight(a, b)) == (a, b)
         w = (rng.randint(-30, 30), rng.randint(-30, 30))
         assert roots_to_weight(*weight_to_roots(w)) == w
+
+
+# The root each count of ``CountVector`` lowers the weight by, in field order.
+COUNT_ROOTS = ((1, 0), (1, 1), (2, 1), (3, 1), (3, 2), (4, 2), (0, 1))
+
+
+def test_count_weight_lowers_by_a_positive_root_per_count():
+    """``CountVector.wt`` is minus the sum of the roots its docstring names:
+    the six positive roots, one per count, and b1bar's twice b0's, so with
+    b0 <= 1 the count vectors of a weight are its Kostant partitions."""
+    b1bar = COUNT_ROOTS[5]
+    assert sorted(set(COUNT_ROOTS) - {b1bar}) == sorted(POSITIVE_ROOTS)
+    assert b1bar == (2 * COUNT_ROOTS[2][0], 2 * COUNT_ROOTS[2][1])
+    rng = random.Random(7)
+    for _ in range(500):
+        counts = [rng.randint(0, 50) for _ in range(6)]
+        counts.insert(2, rng.randint(0, 1))
+        a = sum(n * root[0] for n, root in zip(counts, COUNT_ROOTS))
+        b = sum(n * root[1] for n, root in zip(counts, COUNT_ROOTS))
+        assert CountVector(*counts).wt() == roots_to_weight(-a, -b)
 
 
 def test_pair_order_is_total():

@@ -140,3 +140,18 @@ def test_convert_rejects_an_element_of_the_wrong_class(elem, source):
     for target in ("minf", "tableaux", "cliff", "monomial"):
         with pytest.raises(ValueError, match=f"^{source} takes a "):
             convert(elem, source, target)
+
+
+@pytest.mark.parametrize(
+    "mono",
+    [ExtMonomial(), ExtMonomial({(1, 0): (1, 0)}), ExtMonomial({(1, -1): (1, 1), (2, -2): (1, 0)}),
+     ExtMonomial({(1, 2): (2, 0), (2, 3): (1, 0)})],
+    ids=["empty", "u-totals-1-0", "relation-broken", "u-pattern-broken"],
+)
+def test_monomial_non_members_get_the_family_free_message(mono):
+    """Parameters that name no family and a non-member of the family named
+    get the same message: a member of any family names its own."""
+    for target in ("minf", "tableaux", "cliff", "monomial"):
+        with pytest.raises(ValueError) as exc:
+            convert(mono, "monomial", target)
+        assert str(exc.value) == f"not a member of any M(p1,p2;r;infinity): {mono.text()}"

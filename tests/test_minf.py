@@ -77,7 +77,7 @@ def test_x_monomial_expansions():
     assert x_monomial("2b", 0, 1, -1) == ExtMonomial({(1, 2): (1, -1), (2, 2): (-1, 1)})
     assert x_monomial("1b", -1, 0, 1) == ExtMonomial({(1, 2): (0, -1)})
     assert x_monomial("2", 4, 0, 0) == ExtMonomial()
-    for letter in ("4", "3low", "", None):
+    for letter in ("4", "3low", "", None, [], {}, 1):  # unhashable ones too: no TypeError
         with pytest.raises(ValueError, match="unknown X letter"):
             x_monomial(letter, 0, 0, 1)
 

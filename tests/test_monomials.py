@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from g2crystal.cartan import INDEX_SET, PAIR_ZERO, pair_add, pair_neg, simple_root, weight_sub
 from g2crystal import monomials
 from g2crystal.graph import bfs
+from g2crystal.minf import highest_minf
 from g2crystal.monomials import (
     ExtMonomial,
     ScanResult,
@@ -553,8 +554,29 @@ def test_scan_positions_mark_the_maps_on_draws_and_the_graph():
 @pytest.mark.parametrize("bad", [True, 1.0], ids=repr)
 def test_highest_monomial_refuses_a_non_int_r(bad):
     """``r - 1`` would turn ``True`` into the int 0 before any check saw it."""
-    with pytest.raises(ValueError, match="r must be an int"):
-        highest_monomial(1, 1, bad)
-    for params in ((bad, 1, 0), (1, bad, 0)):
-        with pytest.raises(ValueError, match="must be ints"):
+    for params in ((1, 1, bad), (bad, 1, 0), (1, bad, 0)):
+        with pytest.raises(ValueError, match="family parameters must be integers"):
             highest_monomial(*params)
+
+
+def _reference_highest_monomial(p1=1, p2=1, r=0):
+    """The body ``highest_monomial`` had before it expanded ``highest_minf``."""
+    return ExtMonomial({(1, r - 1): (p1, 0), (2, r - 2): (p2, 0)})
+
+
+def test_highest_monomial_matches_the_reference():
+    assert highest_monomial() == _reference_highest_monomial()
+    for p1 in range(1, 6):
+        for p2 in range(1, 6):
+            for r in range(-5, 6):
+                assert highest_monomial(p1, p2, r) == _reference_highest_monomial(p1, p2, r)
+
+
+@pytest.mark.parametrize("params", [(0, 1, 0), (1, 0, 0), (True, 1, 0), (1, 1, 0.0)], ids=repr)
+def test_highest_monomial_refuses_what_names_no_family(params):
+    """The seed exists only for a family, and the refusal is ``highest_minf``'s."""
+    with pytest.raises(ValueError) as family:
+        highest_minf(*params)
+    with pytest.raises(ValueError) as exc:
+        highest_monomial(*params)
+    assert str(exc.value) == str(family.value)

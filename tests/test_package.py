@@ -158,17 +158,21 @@ def test_count_json_reads_no_field_table():
 
 def test_shared_count_methods_are_defined_once():
     """``phi``, ``to_json`` and ``signature`` have one ``def`` across the
-    count realizations, so no copy can drift from the others."""
+    count realizations, so no copy can drift from the others; so has ``wt``
+    across the seven-count ones, while the tensor products read their own
+    counts."""
     files = ("cartan.py", "minf.py", "tableaux.py", "cliff.py")
-    defs = [node.name for name, node in _package_nodes()
+    defs = [(name, node.name) for name, node in _package_nodes()
             if name in files and isinstance(node, ast.FunctionDef)]
-    assert [defs.count(name) for name in ("phi", "to_json", "signature")] == [1, 1, 1]
+    names = [func for _name, func in defs]
+    assert [names.count(func) for func in ("phi", "to_json", "signature")] == [1, 1, 1]
+    assert [name for name, func in defs if func == "wt"] == ["cartan.py", "cliff.py"]
 
 
 # Names each count class binds to its base's function for the span tracer.
 BOUND = {
-    MinfElement: ("signature", "eps", "phi", "to_json"),
-    MLTableau: ("key", "signature", "eps", "phi", "to_json"),
+    MinfElement: ("wt", "signature", "eps", "phi", "to_json"),
+    MLTableau: ("key", "wt", "signature", "eps", "phi", "to_json"),
     CliffElement: ("key", "phi", "to_json"),
 }
 
@@ -190,28 +194,26 @@ def test_cliff_counts_keep_the_shared_message(field):
 
 
 def test_one_family_rule():
-    """In ``minf.py`` only ``MinfElement.__post_init__`` compares ``p1`` or
+    """In the package only ``MinfElement.__post_init__`` compares ``p1`` or
     ``p2`` with 1, so the rule for which parameters name a family is written
-    once; membership reaches it by building the family's highest element."""
+    once; membership, ``highest_monomial`` and the monomial route of
+    ``convert`` reach it by building an element of the family."""
+    def is_rule(node):
+        if not isinstance(node, ast.Compare):
+            return False
+        operands = [node.left, *node.comparators]
+        return any(isinstance(op, ast.Constant) and op.value == 1 for op in operands) and any(
+            isinstance(op, ast.Name) and op.id in ("p1", "p2")
+            or isinstance(op, ast.Attribute) and op.attr in ("p1", "p2")
+            for op in operands
+        )
+
     tree = ast.parse(Path(g2crystal.minf.__file__).read_text(encoding="utf-8"))
-
-    def rule_compares(root):
-        found = []
-        for node in ast.walk(root):
-            if isinstance(node, ast.Compare):
-                operands = [node.left, *node.comparators]
-                if any(isinstance(op, ast.Constant) and op.value == 1 for op in operands) and any(
-                    isinstance(op, ast.Name) and op.id in ("p1", "p2")
-                    or isinstance(op, ast.Attribute) and op.attr in ("p1", "p2")
-                    for op in operands
-                ):
-                    found.append(f"{ast.unparse(node)}:{node.lineno}")
-        return found
-
     owner = next(node for node in tree.body
                  if isinstance(node, ast.ClassDef) and node.name == "MinfElement")
     post_init = next(node for node in owner.body
                      if isinstance(node, ast.FunctionDef) and node.name == "__post_init__")
-    allowed = rule_compares(post_init)
+    allowed = sorted(f"minf.py:{node.lineno}" for node in ast.walk(post_init) if is_rule(node))
     assert len(allowed) == 2, allowed
-    assert rule_compares(tree) == allowed
+    found = sorted(f"{name}:{node.lineno}" for name, node in _package_nodes() if is_rule(node))
+    assert found == allowed

@@ -64,6 +64,14 @@ def _off_root(fault):
     return make
 
 
+def _wt_off_root(orig):
+    """A weight one Lambda_1 too high everywhere but at the highest element."""
+    def wt(self):
+        w1, w2 = orig(self)
+        return (w1, w2) if self == type(self)() else (w1 + 1, w2)
+    return wt
+
+
 def _scan_other_index(orig):
     """A scan that reads the other index's prefix sums."""
     return lambda self, i: orig(self, 3 - i)
@@ -85,6 +93,10 @@ FAULTS = {
         for how, fault in (("outside", _outside(name)), ("zero", lambda img: None))
     },
     "lemma-equivalence-wrong-e": ("lemma-equivalence", 3, "minf", "e", _self_where_defined),
+    **{
+        f"{suite}-{name}-wt-off-root": (suite, 3, name, "wt", _wt_off_root)
+        for suite, name in (("iso", "tableaux"), ("iso", "minf"), ("lemma-equivalence", "minf"))
+    },
     "shift-wrong-e": ("shift", 2, "minf", "e", _wrong_off_family),
     "shift-with-params-drops-r": ("shift", 2, "minf", "with_params", _drop_r),
     "bookkeeping-wrong-e": ("bookkeeping", 200, "monomial", "e", _self_where_defined),
