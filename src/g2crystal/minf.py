@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cartan import CountVector, check_index
-from .monomials import ExtMonomial, _build
+from .monomials import ExtMonomial, _build, check_monomial
 
 
 # The X -> Y change of variables: X_letter(m)^(u,v) is the product of
@@ -116,7 +116,7 @@ class MinfElement(CountVector):
 
     def to_monomial(self):
         return _build({}, [(i, m + offset, power * u, power * v)
-                           for letter, m, u, v in self.x_factors()
+                           for letter, m, u, v in self.x_factors() if u or v
                            for i, offset, power in _X_TO_Y[letter]])
 
     # -- signature-rule operators ------------------------------------------
@@ -197,8 +197,8 @@ def highest_minf(p1=1, p2=1, r=0):
 
 def _member_counts(monomial, p1, p2, r):
     """The seven counts of a member of M(p1, p2; r; infinity), or ``None``
-    for a non-member; ``MinfElement``'s ``ValueError`` for parameters that
-    name no family.
+    for a non-member; ``ValueError`` for a non-monomial, then
+    ``MinfElement``'s for parameters that name no family.
 
     Eight reads, at Y_1(r-1..r+2) and Y_2(r-2..r+1): the support fits when
     the nonzero reads make up the whole key, the u-components must read
@@ -211,6 +211,7 @@ def _member_counts(monomial, p1, p2, r):
     b2 = a2^{r-1} - a2^{r-2},  b2bar = -a2^{r+1},  b1bar = -a1^{r+2},
     b3low = -a2^{r-2},  2*b3 = s1 - b0,  2*b3bar = s2 - b0.
     """
+    check_monomial(monomial)
     highest_minf(p1, p2, r)  # MinfElement's family rule
     reads = ([monomial.exponent(1, m) for m in range(r - 1, r + 3)]
              + [monomial.exponent(2, m) for m in range(r - 2, r + 2)])

@@ -81,6 +81,10 @@ class ExtMonomial:
         self._exp, self._key, self._scans = canon._exp, canon._key, None
 
     def exponent(self, i, m):
+        """The exponent pair of ``Y_i(m)``; ``ValueError`` unless ``i`` is 1 or 2 and ``m`` an int."""
+        check_index(i)
+        if type(m) is not int:
+            raise ValueError(f"position must be an int, got {m!r}")
         entry = self._exp.get((i, m))
         return PAIR_ZERO if entry is None else entry[2:]
 
@@ -118,7 +122,12 @@ class ExtMonomial:
 
     def wt(self):
         """Ordinary weight: the second components of :meth:`wt_pairs`."""
-        (_u1, v1), (_u2, v2) = self.wt_pairs()
+        v1 = v2 = 0
+        for i, _m, _u, v in self._key:
+            if i == 1:
+                v1 += v
+            else:
+                v2 += v
         return (v1, v2)
 
     def scan(self, i):
@@ -158,12 +167,14 @@ class ExtMonomial:
     def f(self, i):
         check_index(i)
         pos = (self._scans and self._scans.get(i) or _scan(self._key, i)).m_f
-        return None if pos is None else _build(self._exp, _a_factors(i, pos, -1))
+        return None if pos is None else _build(
+            self._exp, [(j, pos + offset, 0, power) for j, offset, power in _A_ROWS[i, -1]])
 
     def e(self, i):
         check_index(i)
         pos = (self._scans and self._scans.get(i) or _scan(self._key, i)).m_e
-        return None if pos is None else _build(self._exp, _a_factors(i, pos, 1))
+        return None if pos is None else _build(
+            self._exp, [(j, pos + offset, 0, power) for j, offset, power in _A_ROWS[i, 1]])
 
     # -- serialization ---------------------------------------------------
 
@@ -181,6 +192,12 @@ class ExtMonomial:
         for rec in recs:
             check_index(rec["i"])
         return _build({}, [(rec["i"], rec["m"], rec["u"], rec["v"]) for rec in recs])
+
+
+def check_monomial(obj):
+    """Raise :class:`ValueError` unless ``obj`` is an :class:`ExtMonomial`."""
+    if not isinstance(obj, ExtMonomial):
+        raise ValueError(f"expected an ExtMonomial, got {type(obj).__name__}")
 
 
 def _scan(key, i):
@@ -240,15 +257,13 @@ def _build(base, factors):
     return mono
 
 
-# A_i(m) is the product of Y_j(m + offset)^(0, power) over its rows (j, offset, power).
+# A_i(m)^sign is the product of Y_j(m + offset)^(0, power) over the rows
+# (j, offset, power) of ``_A_ROWS[i, sign]``; each power carries the sign.
 _A_ROWS = {
-    i: ((i, 0, 1), (i, 1, 1), *((j, C_SHIFT[(j, i)], CARTAN[(j, i)]) for j in INDEX_SET if j != i))
-    for i in INDEX_SET
+    (i, sign): ((i, 0, sign), (i, 1, sign),
+                *((j, C_SHIFT[(j, i)], sign * CARTAN[(j, i)]) for j in INDEX_SET if j != i))
+    for i in INDEX_SET for sign in (1, -1)
 }
-
-
-def _a_factors(i, m, sign):
-    return [(j, m + offset, 0, sign * power) for j, offset, power in _A_ROWS[i]]
 
 
 def a_monomial(i, m, sign=1):
@@ -260,7 +275,7 @@ def a_monomial(i, m, sign=1):
     check_index(i)
     if type(m) is not int or type(sign) is not int or sign not in (1, -1):
         raise ValueError(f"A_i(m)^sign needs an int m and sign 1 or -1, got m={m!r}, sign={sign!r}")
-    return _build({}, _a_factors(i, m, sign))
+    return _build({}, [(j, m + offset, 0, power) for j, offset, power in _A_ROWS[i, sign]])
 
 
 def highest_monomial(p1=1, p2=1, r=0):
@@ -276,8 +291,9 @@ def classify_seed(monomial):
     Returns ``("highest", (p1, p2))`` when wt~ = sum (0, p_i) Lambda_i with
     p_i >= 0 (seed of a highest weight crystal), ``("binf", (p1, p2))`` when
     wt~ = sum (p_i, 0) Lambda_i with p_i > 0 (seed of an infinity crystal),
-    and ``("neither", None)`` otherwise.
+    and ``("neither", None)`` otherwise; ``ValueError`` for a non-monomial.
     """
+    check_monomial(monomial)
     for i in INDEX_SET:
         if monomial.e(i) is not None:
             return ("neither", None)

@@ -184,20 +184,31 @@ def check_lemma_equivalence(depth):
     return report
 
 
-# The sampler's support positions, in draw order, and its exponent range.
+# The sampler's support positions, in draw order.
 _SUPPORT = tuple((i, m) for i in INDEX_SET for m in range(-5, 6))
-_EXPONENTS = range(-4, 5)
 
 
 def random_monomial(rng):
     """A random extended monomial with support in m in [-5, 5] and exponents
     in [-4, 4]^2.  Each position of ``_SUPPORT`` is kept with probability 1/4
-    and then draws ``(u, v)``; ``choice`` draws as ``randint(-4, 4)`` would.
-    The draws feed the builder as entries ``(i, m, u, v)`` of ints, so it
-    needs no checks, and it drops a drawn zero pair."""
-    draw, choice = rng.random, rng.choice
-    return _build({}, [(i, m, choice(_EXPONENTS), choice(_EXPONENTS))
-                       for i, m in _SUPPORT if draw() < 0.25])
+    and then draws ``u``, then ``v``, each by the loop ``randint(-4, 4)`` runs
+    inside ``random``: ``getrandbits(4)``, drawn again while above 8, minus 4.
+    So the monomials and the generator's final state are those of
+    ``randint`` for every seed.  The draws feed the builder as entries
+    ``(i, m, u, v)`` of ints, so it needs no checks, and it drops a drawn
+    zero pair."""
+    draw, bits = rng.random, rng.getrandbits
+    factors = []
+    for i, m in _SUPPORT:
+        if draw() < 0.25:
+            u = bits(4)
+            while u > 8:
+                u = bits(4)
+            v = bits(4)
+            while v > 8:
+                v = bits(4)
+            factors.append((i, m, u - 4, v - 4))
+    return _build({}, factors)
 
 
 def check_bookkeeping(count=10000, seed=20260313):

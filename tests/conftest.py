@@ -5,10 +5,25 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
+# The package on the path is the one under test; this checkout's ``src`` is
+# only the fallback, so ``PYTHONPATH=<other checkout>/src`` tests that one.
+try:
+    import g2crystal
+except ImportError:
+    sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
+    import g2crystal
+
 from g2crystal.monomials import ExtMonomial
+
+
+def pytest_report_header(config):
+    return f"g2crystal under test: {Path(g2crystal.__file__).parent}"
+
 
 # A weight -5L1 - L2 element that exists in all three realizations and
 # exercises every count at once.

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import g2crystal
 from g2crystal.cartan import INDEX_SET, POSITIVE_ROOTS
 from g2crystal.cliff import CliffElement
 from g2crystal.graph import (
@@ -423,7 +424,7 @@ def test_bfs_rejects_non_injective_lowering_under_optimize():
         sys.exit("bfs accepted a non-injective operator")
         """
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    src = str(Path(g2crystal.__file__).parents[1])  # the package under test
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(

@@ -16,7 +16,7 @@ from g2crystal.minf import (
     minf_from_monomial,
     x_monomial,
 )
-from g2crystal.monomials import ExtMonomial, highest_monomial
+from g2crystal.monomials import ExtMonomial, classify_seed, highest_monomial
 from g2crystal.verify import _SHIFT_GRID, random_monomial
 
 from conftest import (
@@ -489,8 +489,14 @@ def test_positional_construction_matches_replace_reference(monkeypatch):
 
 
 # The dict-based membership body the positional read replaced, kept as the
-# reference; it takes valid family parameters only.
+# reference; it takes valid family parameters only.  Its exponent read is the
+# unchecked one ``ExtMonomial.exponent`` made before it refused a non-int
+# position, so ``r = 0.0`` still reads like ``r = 0``.
 def _reference_member_counts(monomial, p1, p2, r):
+    def exponent(i, m):
+        entry = monomial._exp.get((i, m))
+        return (0, 0) if entry is None else entry[2:]
+
     allowed = {
         (1, r - 1): p1,
         (1, r): 0,
@@ -506,7 +512,7 @@ def _reference_member_counts(monomial, p1, p2, r):
             return None
     a = {}
     for (i, m), u_req in allowed.items():
-        u, v = monomial.exponent(i, m)
+        u, v = exponent(i, m)
         if u != u_req:
             return None
         a[(i, m)] = v
@@ -604,3 +610,18 @@ def test_invalid_parameters_raise_the_family_error_on_both_entry_points(params, 
             with pytest.raises(ValueError) as exc:
                 entry(mono, *params)
             assert str(exc.value) == str(family.value), (entry.__name__, mono.text())
+
+
+@pytest.mark.parametrize("bad", ["x", 3, None], ids=repr)
+@pytest.mark.parametrize("entry", [is_minf_monomial, minf_from_monomial, classify_seed],
+                         ids=lambda entry: entry.__name__)
+def test_non_monomials_are_refused(entry, bad):
+    """A non-monomial gets a ``ValueError`` naming its type, not an
+    ``AttributeError`` from inside; the membership entry points refuse it
+    before they apply the family rule."""
+    message = f"expected an ExtMonomial, got {type(bad).__name__}$"
+    with pytest.raises(ValueError, match=message):
+        entry(bad)
+    if entry is not classify_seed:
+        with pytest.raises(ValueError, match=message):
+            entry(bad, 0, 1, 0)

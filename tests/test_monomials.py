@@ -580,3 +580,21 @@ def test_highest_monomial_refuses_what_names_no_family(params):
     with pytest.raises(ValueError) as exc:
         highest_monomial(*params)
     assert str(exc.value) == str(family.value)
+
+
+def test_wt_is_the_second_components_of_wt_pairs():
+    """``wt`` sums the v-components in a pass of its own."""
+    rng = random.Random(29)
+    monos = [random_monomial(rng) for _ in range(2000)]
+    monos += [mono for mono, _depth in bfs(highest_monomial(), 10, "monomial").nodes.values()]
+    for mono in monos:
+        (_u1, v1), (_u2, v2) = mono.wt_pairs()
+        assert mono.wt() == (v1, v2), mono.text()
+
+
+@pytest.mark.parametrize("i, m", [(True, -1), (1.0, -1), (1, -1.0), (3, 0)], ids=repr)
+def test_exponent_refuses_a_bad_index_or_position(i, m):
+    """``True``, ``1.0`` and ``-1.0`` hash like the ints 1 and -1, so an
+    unchecked lookup would read the exponent of ``Y_1(-1)``."""
+    with pytest.raises(ValueError, match="index must be 1 or 2|position must be an int"):
+        highest_monomial().exponent(i, m)

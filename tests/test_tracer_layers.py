@@ -16,6 +16,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import g2crystal
+
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
@@ -62,7 +64,7 @@ def test_installed_tracer_keeps_each_realization_apart():
         print(json.dumps({{name: calls for name, (calls, _ns) in totals.items()}}))
         """
     )
-    src = str(TRACER.parents[1] / "src")
+    src = str(Path(g2crystal.__file__).parents[1])  # the package under test
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path), timeout=60)
