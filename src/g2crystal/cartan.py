@@ -86,11 +86,13 @@ def check_index(i):
 
 
 def simple_root(i):
+    check_index(i)
     return SIMPLE_ROOTS[i]
 
 
 def pairing(i, w):
     """Evaluate <h_i, w> for a weight in Lambda-coordinates."""
+    check_index(i)
     return w[i - 1]
 
 

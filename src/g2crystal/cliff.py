@@ -7,7 +7,8 @@ minus infinity for the other index.  Elements of the realization are
     u_inf (x) b_1(-k12bar) (x) b_2(-k13bar) (x) b_1(-k13)
           (x) b_2(-k12) (x) b_1(-k11) (x) b_2(-k22)
 
-with six nonnegative integers constrained by the chain
+with six nonnegative integers constrained by the chain, which the
+constructor checks, so wherever an element is built:
 
     0 <= k12bar <= k13bar <= k13/2 <= k12 <= k11,     k22 >= 0.
 
@@ -38,7 +39,7 @@ _SLOTS = (("k12bar", 1), ("k13bar", 2), ("k13", 1), ("k12", 2), ("k11", 1), ("k2
 
 @dataclass(frozen=True)
 class CliffElement(CountElement):
-    """Counts ``(k12bar, k13bar, k13, k12, k11, k22)`` of the six factors."""
+    """Counts ``(k12bar, k13bar, k13, k12, k11, k22)`` of the six factors, refused off the chain."""
 
     k12bar: int = 0
     k13bar: int = 0
@@ -50,18 +51,18 @@ class CliffElement(CountElement):
     # Bound here as well as inherited: bench/tracer.py traces a class's own __dict__.
     key, phi, to_json = CountElement.key, CountElement.phi, CountElement.to_json
 
+    def __post_init__(self):
+        CountElement.__post_init__(self)  # cheaper than super() on every successor
+        if not self.is_member():
+            raise ValueError(f"not in the realization: {self.text()}")
+
     def counts(self):
         return (self.k12bar, self.k13bar, self.k13, self.k12, self.k11, self.k22)
 
     def is_member(self):
-        """The defining inequality chain (the k13/2 comparisons cleared of
-        denominators)."""
-        return (
-            0 <= self.k12bar <= self.k13bar
-            and 2 * self.k13bar <= self.k13 <= 2 * self.k12
-            and self.k12 <= self.k11
-            and self.k22 >= 0
-        )
+        """The defining chain, doubled to clear the k13/2 of its denominator."""
+        return (0 <= 2 * self.k12bar <= 2 * self.k13bar <= self.k13 <= 2 * self.k12
+                <= 2 * self.k11 and self.k22 >= 0)
 
     # -- tensor product rule ------------------------------------------------
 
@@ -85,8 +86,8 @@ class CliffElement(CountElement):
 
     def f(self, i):
         pos = self._select(i, lower=True)
-        if pos <= 1:  # the head factor is never lowered on members
-            raise ValueError(f"not in the realization: {self.text()}")
+        if pos <= 1:
+            raise RuntimeError("the tensor rule never lowers the head factor on members")
         ks = list(self.counts())
         ks[pos - 2] += 1
         return CliffElement(*ks)
@@ -97,10 +98,7 @@ class CliffElement(CountElement):
             return None
         ks = list(self.counts())
         ks[pos - 2] -= 1
-        try:
-            return CliffElement(*ks)
-        except ValueError:  # a zero count raised: only non-members get here
-            raise ValueError(f"not in the realization: {self.text()}") from None
+        return CliffElement(*ks)
 
     # -- structure maps -------------------------------------------------------
 
@@ -117,15 +115,6 @@ class CliffElement(CountElement):
 
     def text(self):
         return "u∞ ⊗ " + " ⊗ ".join(f"b{idx}({-getattr(self, name)})" for name, idx in _SLOTS)
-
-    @classmethod
-    def from_json(cls, obj):
-        """Read counts and require the chain, so non-members never enter
-        through JSON; direct construction admits them for the closure suite."""
-        elem = super().from_json(obj)
-        if not elem.is_member():
-            raise ValueError(f"not in the realization: {elem.text()}")
-        return elem
 
 
 def highest_cliff():

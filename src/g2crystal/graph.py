@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
 from .cartan import INDEX_SET, POSITIVE_ROOTS, weight_to_roots
-from .isomorphisms import get_realization
+from .isomorphisms import check_element, get_realization
 
 
 @dataclass
@@ -42,9 +42,8 @@ def bfs(root, depth, realization=""):
     """All elements reachable from ``root`` by lowering words of length <= depth."""
     if type(depth) is not int or depth < 0:
         raise ValueError(f"depth must be nonnegative and an int, got {depth!r}")
-    cls = type(root) if realization == "" else get_realization(realization).cls
-    if not isinstance(root, cls):
-        raise ValueError(f"{realization} takes a {cls.__name__}, got {type(root).__name__}")
+    if realization != "":
+        check_element(realization, root)
     root_key = root.key()
     graph = CrystalGraph(realization=realization, depth=depth, root=root_key)
     graph.nodes[root_key] = (root, 0)

@@ -39,10 +39,12 @@ from .tableaux import MLTableau, highest_tableau
 
 def tableau_to_minf(tab):
     """Count-copy isomorphism onto M(infinity) proper."""
+    check_element("tableaux", tab)
     return MinfElement(*tab.counts())
 
 
 def minf_to_tableau(elem):
+    check_element("minf", elem)
     if elem.params() != (1, 1, 0):
         raise ValueError(
             f"only M(1,1;0;infinity) corresponds to tableaux directly, got params {elem.params()}"
@@ -51,6 +53,7 @@ def minf_to_tableau(elem):
 
 
 def tableau_to_cliff(tab):
+    check_element("tableaux", tab)
     tail3 = tab.b3bar + tab.b2bar + tab.b1bar
     return CliffElement(
         k12bar=tab.b1bar,
@@ -63,8 +66,7 @@ def tableau_to_cliff(tab):
 
 
 def cliff_to_tableau(elem):
-    if not elem.is_member():
-        raise ValueError(f"not in the realization: {elem.text()}")
+    check_element("cliff", elem)
     return MLTableau(
         b2=elem.k11 - elem.k12,
         b3=elem.k12 - (elem.k13 + 1) // 2,
@@ -78,6 +80,7 @@ def cliff_to_tableau(elem):
 
 def shift_params(elem, p1, p2, r):
     """Isomorphism onto the shifted family: same counts, new parameters."""
+    check_element("minf", elem)
     return elem.with_params(p1, p2, r)
 
 
@@ -120,14 +123,21 @@ def get_realization(name):
     """The registry row of a realization name; ``ValueError`` for an unknown one."""
     try:
         return REALIZATIONS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ValueError(f"unknown realization {name!r}") from None
+
+
+def check_element(name, elem):
+    """The registry row of realization ``name``; ``ValueError`` for an unknown
+    name or an element not of its class."""
+    row = get_realization(name)
+    if not isinstance(elem, row.cls):
+        raise ValueError(f"{name} takes a {row.cls.__name__}, got {type(elem).__name__}")
+    return row
 
 
 def convert(elem, source, target):
     """The image of ``elem``, an element of realization ``source``, in ``target``;
     ``ValueError`` for an unknown name or an element not of the source's class."""
-    src, dst = get_realization(source), get_realization(target)
-    if not isinstance(elem, src.cls):
-        raise ValueError(f"{source} takes a {src.cls.__name__}, got {type(elem).__name__}")
+    src, dst = check_element(source, elem), get_realization(target)
     return dst.from_minf(src.to_minf(elem))

@@ -91,6 +91,8 @@ class MLTableau(CountVector):
     @classmethod
     def from_rows(cls, row1, row2):
         """Build from an explicit grid, validating the canonical shape."""
+        if not isinstance(row1, (list, tuple)) or not isinstance(row2, (list, tuple)):
+            raise ValueError("rows must be lists or tuples of letters")
         if not row1 or not row2:
             raise ValueError("both rows must be non-empty")
         for x in (*row1, *row2):

@@ -81,9 +81,13 @@ def check_closure(depth):
         outside = _OUTSIDE[graph.realization]
         for elem, _depth in graph.nodes.values():
             for i in INDEX_SET:
-                for op, img in (("f", elem.f(i)), ("e", elem.e(i))):
+                for op, move in (("f", elem.f), ("e", elem.e)):
                     report.tick()
-                    why = ("is the zero" if op == "f" else "") if img is None else outside(img)
+                    try:  # a class refuses an image outside its set with ValueError
+                        img = move(i)
+                        why = ("is the zero" if op == "f" else "") if img is None else outside(img)
+                    except ValueError as exc:
+                        why = f"is refused: {exc}"
                     if why:
                         report.fail(f"{graph.realization} {op}_{i} image {why} at {elem.text()}")
     return report

@@ -102,3 +102,12 @@ def test_index_outside_index_set_rejected(realization, index):
     for method in ("f", "e", "eps", "phi"):
         with pytest.raises(ValueError, match="index must be 1 or 2"):
             getattr(top, method)(index)
+
+
+@pytest.mark.parametrize("index", [0, 3, True, 1.0])
+def test_pairing_and_simple_root_take_only_the_index_set(index):
+    """``pairing(0, w)`` once read ``w[-1]`` and ``True`` read index 1."""
+    with pytest.raises(ValueError, match="index must be 1 or 2"):
+        pairing(index, (1, 2))
+    with pytest.raises(ValueError, match="index must be 1 or 2"):
+        simple_root(index)

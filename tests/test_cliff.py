@@ -1,8 +1,8 @@
 from __future__ import annotations
 
+import copy
 import itertools
 import random
-import re
 from dataclasses import dataclass, replace
 
 import pytest
@@ -60,14 +60,15 @@ def reference_text(elem):
 
 def reference_op(elem, i, lower):
     """``f``/``e`` through the reference a-values: the slot's new counts,
-    ``None`` for raising at the head, and ``ValueError`` off the crystal,
-    for lowering the head or for raising a zero count."""
+    ``None`` for raising at the head, and off the crystal ``RuntimeError``
+    for lowering the head or the constructor's ``ValueError`` for an image
+    off the chain."""
     a = reference_a_seq(elem, i)
     top = max(x for x in a if x is not None)
     pos = len(a) - a[::-1].index(top) if lower else a.index(top) + 1
     if pos == 1:
         if lower:
-            raise ValueError("the head factor is never lowered on members")
+            raise RuntimeError("the head factor is never lowered on members")
         return None
     ks = list(elem.counts())
     ks[pos - 2] += 1 if lower else -1
@@ -114,6 +115,15 @@ def _random_member(rng):
     return CliffElement(k12bar, k13bar, k13, k12, k11, rng.randint(0, 4))
 
 
+def _unchecked(ks):
+    """An element with counts ``ks``, made past the constructor, so the rule
+    can be read off the crystal too."""
+    elem = copy.copy(highest_cliff())
+    for (name, _idx), k in zip(_SLOTS, ks):
+        object.__setattr__(elem, name, k)
+    return elem
+
+
 def _members_to_depth(depth):
     level = {highest_cliff()}
     seen = set(level)
@@ -151,28 +161,38 @@ def test_count_rule_matches_factor_reference_off_the_crystal():
     vectors += [tuple(rng.randint(0, 4) for _ in range(6)) for _ in range(1000)]
     members = 0
     for ks in vectors:
-        elem = CliffElement(*ks)  # members and non-members alike
+        elem = _unchecked(ks)  # members and non-members alike
         members += elem.is_member()
         assert_matches_reference(elem)
     assert 0 < members < len(vectors)
 
 
-def test_operators_on_non_members_name_the_element():
-    """``f`` and ``e`` never fail on members; on a directly built non-member
-    that the rule would take out of the realization, they raise a
-    ``ValueError`` naming the element passed, not a vector derived from it."""
-    failures = 0
-    for ks in itertools.product(range(3), repeat=6):
-        elem = CliffElement(*ks)
+def _grid(members):
+    """The count vectors in 0..2 that are members, or those that are not."""
+    return [ks for ks in itertools.product(range(3), repeat=6)
+            if _unchecked(ks).is_member() == members]
+
+
+def test_constructor_refuses_non_members_by_name():
+    """Every non-member of the 0..2 grid is refused where it is built, with
+    the message naming it."""
+    outside = _grid(members=False)
+    assert len(outside) == 675
+    for ks in outside:
+        with pytest.raises(ValueError) as exc:
+            CliffElement(*ks)
+        assert str(exc.value) == f"not in the realization: {_unchecked(ks).text()}", ks
+
+
+def test_operators_never_raise_on_grid_members():
+    """Members never lower the head and never raise a count below zero."""
+    members = [CliffElement(*ks) for ks in _grid(members=True)]
+    assert len(members) == 54
+    for elem in members:
         for i in INDEX_SET:
-            for op in (elem.f, elem.e):
-                try:
-                    op(i)
-                except ValueError as exc:
-                    assert not elem.is_member(), (ks, i)
-                    assert str(exc) == f"not in the realization: {elem.text()}", (ks, i)
-                    failures += 1
-    assert failures == 287  # 97 lowerings at the head, 190 raisings of a zero count
+            assert elem.f(i).is_member(), (elem, i)
+            up = elem.e(i)
+            assert up is None or up.is_member(), (elem, i)
 
 
 def test_a_seq_at_the_origin():
@@ -202,8 +222,10 @@ def test_lowering_from_highest():
 def test_membership_chain():
     assert highest_cliff().is_member()
     assert CliffElement(*EXAMPLE_KS).is_member()
-    assert not CliffElement(2, 1, 0, 0, 0, 0).is_member()
-    assert not CliffElement(0, 1, 1, 2, 3, 0).is_member()  # 2*k13bar > k13
+    assert not _unchecked((2, 1, 0, 0, 0, 0)).is_member()
+    assert not _unchecked((0, 1, 1, 2, 3, 0)).is_member()  # 2*k13bar > k13
+    with pytest.raises(ValueError, match="^not in the realization: "):
+        CliffElement(0, 1, 1, 2, 3, 0)
     with pytest.raises(ValueError):
         CliffElement(-1, 0, 0, 0, 0, 0)
     with pytest.raises(ValueError, match="nonnegative integers"):
@@ -316,7 +338,7 @@ def test_selection_agrees_with_pairwise_definition_off_the_crystal():
     rng = random.Random(41)
     vectors += [tuple(rng.randint(0, 60) for _ in range(6)) for _ in range(2000)]
     for ks in vectors:
-        elem = CliffElement(*ks)  # members and non-members alike
+        elem = _unchecked(ks)  # members and non-members alike
         for i in INDEX_SET:
             a = elem.a_seq(i)
             for lower in (True, False):
@@ -382,7 +404,7 @@ def test_text_and_json():
 def _reference_replace_f(self, i):
     pos = self._select(i, lower=True)
     if pos <= 1:
-        raise ValueError(f"not in the realization: {self.text()}")
+        raise RuntimeError("the tensor rule never lowers the head factor on members")
     name = _SLOTS[pos - 2][0]
     return replace(self, **{name: getattr(self, name) + 1})
 
@@ -392,25 +414,16 @@ def _reference_replace_e(self, i):
     if pos == 1:
         return None
     name = _SLOTS[pos - 2][0]
-    try:
-        return replace(self, **{name: getattr(self, name) - 1})
-    except ValueError:
-        raise ValueError(f"not in the realization: {self.text()}") from None
+    return replace(self, **{name: getattr(self, name) - 1})
 
 
 def test_positional_construction_matches_replace_reference():
-    """Every node of the depth-8 graph, then every vector with counts in 0..2,
-    members or not; a failure must carry the same message."""
+    """Every node of the depth-8 graph, then every member with counts in 0..2."""
     nodes = [elem for elem, _depth in bfs(highest_cliff(), 8, "cliff").nodes.values()]
     assert len(nodes) == 176
-    grid = [CliffElement(*ks) for ks in itertools.product(range(3), repeat=6)]
+    grid = [CliffElement(*ks) for ks in _grid(members=True)]
+    assert len(grid) == 54
     for elem in nodes + grid:
         for i in INDEX_SET:
             for op, ref in ((elem.f, _reference_replace_f), (elem.e, _reference_replace_e)):
-                try:
-                    want = ref(elem, i)
-                except ValueError as exc:
-                    with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-                        op(i)
-                else:
-                    assert op(i) == want, (elem, i)
+                assert op(i) == ref(elem, i), (elem, i)

@@ -395,6 +395,15 @@ def test_highest_element_rejects_unknown():
         convert(highest_minf(), "minf", "nope")
 
 
+def test_an_unhashable_realization_name_is_unknown():
+    """A list name once ended in ``TypeError: unhashable type``."""
+    for call in (lambda: highest_element(["x"]), lambda: element_from_json(["x"], {}),
+                 lambda: bfs(highest_minf(), 1, ["x"]),
+                 lambda: convert(highest_minf(), "minf", ["x"])):
+        with pytest.raises(ValueError, match=r"^unknown realization \['x'\]$"):
+            call()
+
+
 def test_bfs_rejects_non_injective_lowering_under_optimize():
     """The injectivity check must survive ``python -O``, which strips asserts."""
     script = textwrap.dedent(

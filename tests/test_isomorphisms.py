@@ -128,6 +128,8 @@ def test_shift_isomorphism(example_monomial):
     assert shift_params(moved, 1, 1, 0) == top
     example = minf_from_monomial(example_monomial)
     assert shift_params(example, 2, 3, 5).wt() == (-5, -1)
+    with pytest.raises(ValueError, match="^minf takes a MinfElement, got MLTableau$"):
+        shift_params(highest_tableau(), 1, 1, 0)  # once an AttributeError
 
 
 @pytest.mark.parametrize(
@@ -140,6 +142,20 @@ def test_convert_rejects_an_element_of_the_wrong_class(elem, source):
     for target in ("minf", "tableaux", "cliff", "monomial"):
         with pytest.raises(ValueError, match=f"^{source} takes a "):
             convert(elem, source, target)
+
+
+@pytest.mark.parametrize(
+    "convert_map, elem",
+    [(tableau_to_cliff, MinfElement(p1=2)), (tableau_to_minf, MinfElement(p1=2)),
+     (minf_to_tableau, MLTableau()), (cliff_to_tableau, "x"), (minf_to_cliff, highest_cliff()),
+     (cliff_to_minf, highest_tableau()), (tableau_to_cliff, highest_cliff())],
+    ids=lambda x: getattr(x, "__name__", type(x).__name__),
+)
+def test_count_maps_reject_an_element_of_the_wrong_class(convert_map, elem):
+    """No answer for a family without tableaux, no dropped parameters and no
+    ``AttributeError``: each map checks its argument's class."""
+    with pytest.raises(ValueError, match=" takes a "):
+        convert_map(elem)
 
 
 @pytest.mark.parametrize(

@@ -167,6 +167,12 @@ def test_from_rows_validation():
             MLTableau.from_rows(row1, row2)
 
 
+@pytest.mark.parametrize("rows", [(5, [L1]), ([L1, L1], 5), ([L1, L1], None)], ids=repr)
+def test_from_rows_refuses_rows_that_are_not_sequences(rows):
+    with pytest.raises(ValueError, match="rows must be lists or tuples"):
+        MLTableau.from_rows(*rows)
+
+
 def test_weights():
     assert highest_tableau().wt() == (0, 0)
     assert MLTableau(*EXAMPLE_COUNTS).wt() == (-5, -1)

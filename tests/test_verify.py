@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,14 @@ CLASSES = {"minf": MinfElement, "tableaux": MLTableau, "cliff": CliffElement,
 
 # A field value that puts an element outside its realization's defining set.
 OUTSIDE = {"minf": ("b3low", -1), "tableaux": ("b0", 2), "cliff": ("k22", -1)}
+
+# An image built through the constructor, which refuses it: a negative count,
+# or for ``cliff`` a count vector off the chain (k12bar above k13bar).
+REFUSED = {
+    "minf": lambda img: replace(img, b3low=-1),
+    "tableaux": lambda img: replace(img, b3low=-1),
+    "cliff": lambda img: replace(img, k12bar=img.k13bar + 1),
+}
 
 
 def _zero(self, i):
@@ -90,7 +99,8 @@ FAULTS = {
     **{
         f"closure-{name}-f-{how}": ("closure", 1, name, "f", _off_root(fault))
         for name in OUTSIDE
-        for how, fault in (("outside", _outside(name)), ("zero", lambda img: None))
+        for how, fault in (("outside", _outside(name)), ("zero", lambda img: None),
+                           ("refused", REFUSED[name]))
     },
     "lemma-equivalence-wrong-e": ("lemma-equivalence", 3, "minf", "e", _self_where_defined),
     **{
