@@ -33,8 +33,8 @@ each realization.
 
 Crystal element contract
 ------------------------
-The element classes of the realization modules all provide the same duck
-interface, which the graph and verification layers rely on:
+The four registry classes (``isomorphisms.REALIZATIONS``) share this
+interface, their class checked at ``bfs``, ``convert`` and the maps:
 
 * ``f(i)`` / ``e(i)``: Kashiwara operators, returning a new element or
   ``None`` for the crystal zero,
@@ -61,7 +61,7 @@ C_SHIFT = {(1, 2): 1, (2, 1): 0}
 PAIR_ZERO = (0, 0)
 
 # Simple roots in Lambda-coordinates: alpha_j = sum_i a_ij Lambda_i.
-SIMPLE_ROOTS = {1: (2, -1), 2: (-3, 2)}
+SIMPLE_ROOTS = {j: (CARTAN[1, j], CARTAN[2, j]) for j in INDEX_SET}
 
 # Positive roots of G2 in simple-root coordinates (a, b) = a*alpha_1 + b*alpha_2.
 POSITIVE_ROOTS = ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2))
@@ -91,8 +91,10 @@ def simple_root(i):
 
 
 def pairing(i, w):
-    """Evaluate <h_i, w> for a weight in Lambda-coordinates."""
+    """Evaluate <h_i, w> for a weight ``w``, two ints in Lambda-coordinates."""
     check_index(i)
+    if not (isinstance(w, (tuple, list)) and len(w) == 2 and type(w[0]) is type(w[1]) is int):
+        raise ValueError(f"weight must be two ints, got {w!r}")
     return w[i - 1]
 
 
@@ -171,7 +173,7 @@ class CountElement:
         return self.counts()
 
     def phi(self, i):
-        return self.eps(i) + pairing(i, self.wt())
+        return self.eps(i) + self.wt()[i - 1]  # eps has checked i
 
     def to_json(self):
         return dict(vars(self))

@@ -1,7 +1,7 @@
 """Crystal-graph enumeration, comparison, census, and export.
 
-BFS works over any element obeying the crystal contract described in
-:mod:`~g2crystal.cartan` (``f``/``e``/``wt``/``key``/``text``).  Nodes are
+BFS works over the four registry classes, and the root is checked against
+its named realization (``isomorphisms.check_element``).  Nodes are
 deduplicated by canonical key and each level is inserted in key order, so
 ``graph.nodes`` is the export order (depth, then key) and enumeration and
 both export formats are deterministic byte-for-byte.  Edges are kept in
@@ -38,12 +38,11 @@ class CrystalGraph:
         return {(src, i): dst for src, i, dst in self.edges}
 
 
-def bfs(root, depth, realization=""):
+def bfs(root, depth, realization):
     """All elements reachable from ``root`` by lowering words of length <= depth."""
     if type(depth) is not int or depth < 0:
         raise ValueError(f"depth must be nonnegative and an int, got {depth!r}")
-    if realization != "":
-        check_element(realization, root)
+    check_element(realization, root)
     root_key = root.key()
     graph = CrystalGraph(realization=realization, depth=depth, root=root_key)
     graph.nodes[root_key] = (root, 0)

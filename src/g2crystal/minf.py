@@ -78,7 +78,7 @@ class MinfElement(CountVector):
     r: int = 0
 
     def __post_init__(self):
-        super().__post_init__()
+        CountVector.__post_init__(self)  # cheaper than super() on every successor
         if not (type(self.p1) is type(self.p2) is type(self.r) is int):
             raise ValueError(f"family parameters must be integers, got {self.params()}")
         if self.p1 < 1 or self.p2 < 1:

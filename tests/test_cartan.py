@@ -111,3 +111,14 @@ def test_pairing_and_simple_root_take_only_the_index_set(index):
         pairing(index, (1, 2))
     with pytest.raises(ValueError, match="index must be 1 or 2"):
         simple_root(index)
+
+
+@pytest.mark.parametrize(
+    ("i", "weight"), [(1, (1, 2, 3)), (1, "ab"), (2, (5,)), (1, (1.0, 2)), (1, (True, 0))]
+)
+def test_pairing_takes_only_a_weight_of_two_ints(i, weight):
+    """These once read 1, ``'a'`` and an ``IndexError``, and let a float or a
+    bool through."""
+    with pytest.raises(ValueError) as exc:
+        pairing(i, weight)
+    assert str(exc.value) == f"weight must be two ints, got {weight!r}"

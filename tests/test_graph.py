@@ -118,6 +118,35 @@ def test_bfs_rejects_a_name_that_does_not_fit_the_root(root, name, message):
     assert str(exc.value) == message
 
 
+class _DuckRoot:
+    """Has the ``key``/``f`` a BFS walk reads, but is no realization's element."""
+
+    def key(self):
+        return (0,)
+
+    def f(self, i):
+        return None
+
+
+@pytest.mark.parametrize(
+    ("name", "cls"),
+    [("monomial", "ExtMonomial"), ("minf", "MinfElement"), ("tableaux", "MLTableau"),
+     ("cliff", "CliffElement")],
+)
+@pytest.mark.parametrize("root", ["x", None, 3, _DuckRoot()])
+def test_bfs_rejects_a_root_of_no_realization(root, name, cls):
+    """``bfs("x", 1)`` once ended in ``AttributeError``: every root is now
+    checked against its named realization before ``key`` or ``f`` is read."""
+    with pytest.raises(ValueError) as exc:
+        bfs(root, 1, name)
+    assert str(exc.value) == f"{name} takes a {cls}, got {type(root).__name__}"
+
+
+def test_bfs_requires_a_realization_name():
+    with pytest.raises(TypeError):
+        bfs(highest_minf(), 1)
+
+
 def _reference_kostant(a, b):
     """The direct recursion over the positive roots that the table replaced."""
 
@@ -410,23 +439,24 @@ def test_bfs_rejects_non_injective_lowering_under_optimize():
         """
         import sys
         from g2crystal.graph import bfs
+        from g2crystal.minf import MinfElement, highest_minf
 
         if __debug__:
             sys.exit("not running under -O")
 
-        class Clamped:
-            # f_2 sends both the root and node 1 to node 2
-            def __init__(self, n):
-                self.n = n
+        top = highest_minf()
+        lowered = MinfElement.f
 
-            def key(self):
-                return (self.n,)
+        def clamped(self, i):
+            # f_2 sends both the root and f_1(root) to f_2(root)
+            if i == 2 and self == lowered(top, 1):
+                return lowered(top, 2)
+            return lowered(self, i)
 
-            def f(self, i):
-                return Clamped(min(self.n + i, 2))
+        MinfElement.f = clamped
 
         try:
-            bfs(Clamped(0), 2)
+            bfs(top, 2, "minf")
         except RuntimeError as exc:
             print(exc)
             sys.exit(0)
