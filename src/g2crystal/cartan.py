@@ -90,11 +90,16 @@ def simple_root(i):
     return SIMPLE_ROOTS[i]
 
 
+def check_weight(w):
+    """Raise :class:`ValueError` unless ``w`` is a tuple or list of two ``int``s."""
+    if not (isinstance(w, (tuple, list)) and len(w) == 2 and type(w[0]) is type(w[1]) is int):
+        raise ValueError(f"weight must be two ints, got {w!r}")
+
+
 def pairing(i, w):
     """Evaluate <h_i, w> for a weight ``w``, two ints in Lambda-coordinates."""
     check_index(i)
-    if not (isinstance(w, (tuple, list)) and len(w) == 2 and type(w[0]) is type(w[1]) is int):
-        raise ValueError(f"weight must be two ints, got {w!r}")
+    check_weight(w)
     return w[i - 1]
 
 
@@ -104,12 +109,15 @@ def weight_to_roots(w):
     The Cartan matrix has determinant 1, so the coefficients are integers
     for every integral weight.
     """
+    check_weight(w)
     w1, w2 = w
     return (2 * w1 + 3 * w2, w1 + 2 * w2)
 
 
 def roots_to_weight(a, b):
-    """Inverse of :func:`weight_to_roots`."""
+    """Inverse of :func:`weight_to_roots`; ``a`` and ``b`` must be ``int``s."""
+    if not (type(a) is type(b) is int):  # one test: CliffElement.wt calls this on every weight
+        raise ValueError(f"root coordinates must be ints, got {(a, b)!r}")
     return (2 * a - 3 * b, -a + 2 * b)
 
 

@@ -67,6 +67,11 @@ def bfs(root, depth, realization):
     return graph
 
 
+def _check_graph(graph):
+    if not isinstance(graph, CrystalGraph):
+        raise ValueError(f"expected a CrystalGraph, got {type(graph).__name__}")
+
+
 def iso_check(g, h):
     """Whether the unique root- and color-preserving digraph map between two
     equally deep crystal graphs exists and is a bijection.
@@ -74,6 +79,8 @@ def iso_check(g, h):
     Colored out-edges are deterministic, so the candidate map is forced, and
     one pass over ``g.edges`` in discovery order maps each source first.
     """
+    _check_graph(g)
+    _check_graph(h)
     if g.depth != h.depth:
         raise ValueError("graphs must be enumerated to the same depth")
     if len(g.edges) != len(h.edges):
@@ -89,6 +96,7 @@ def iso_check(g, h):
 
 def weight_census(graph):
     """Node counts per weight, keyed by ``(a, b)`` with wt = -(a alpha_1 + b alpha_2)."""
+    _check_graph(graph)
     census = {}
     for key in graph.nodes:
         elem, depth = graph.nodes[key]

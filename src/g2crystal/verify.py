@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 
 from .cartan import INDEX_SET, pair_add, pair_neg, pairing, simple_root, weight_sub
 from .graph import bfs, highest_element, iso_check, kostant_partitions, weight_census
-from .isomorphisms import tableau_to_cliff, tableau_to_minf
+from .isomorphisms import check_element, tableau_to_cliff, tableau_to_minf
 from .minf import highest_minf, is_minf_monomial
 from .monomials import _build, highest_monomial
-from .tableaux import MLTableau
 
 _MAX_DETAILS = 5
 
@@ -56,36 +55,21 @@ def _three_graphs(depth):
     return tuple(bfs(highest_element(name), depth, name) for name in ("minf", "tableaux", "cliff"))
 
 
-def _tableau_fault(tab):
-    try:
-        MLTableau.from_rows(*tab.rows())
-    except ValueError as exc:
-        return f"is invalid: {exc}"
-    return ""
-
-
-# Defining-set membership per realization: the reason an element lies
-# outside its set, or "" when it is a member.
-_OUTSIDE = {
-    "minf": lambda x: "" if is_minf_monomial(x.to_monomial(), *x.params()) else "leaves the set",
-    "tableaux": _tableau_fault,
-    "cliff": lambda x: "" if x.is_member() else "leaves the chain",
-}
-
-
 def check_closure(depth):
     """Lowering images stay inside their defining sets; raising images do
-    too or are the crystal zero."""
+    too or are the crystal zero.  Each image's own class judges it: it must be
+    one (``check_element``), and it is rebuilt through the constructor."""
     report = SuiteReport(f"closure(depth={depth})")
     for graph in _three_graphs(depth):
-        outside = _OUTSIDE[graph.realization]
         for elem, _depth in graph.nodes.values():
             for i in INDEX_SET:
                 for op, move in (("f", elem.f), ("e", elem.e)):
                     report.tick()
-                    try:  # a class refuses an image outside its set with ValueError
+                    try:  # a wrong class or a non-member is refused with ValueError
                         img = move(i)
-                        why = ("is the zero" if op == "f" else "") if img is None else outside(img)
+                        if img is not None:
+                            check_element(graph.realization, img).cls(**vars(img))
+                        why = "is the zero" if img is None and op == "f" else ""
                     except ValueError as exc:
                         why = f"is refused: {exc}"
                     if why:

@@ -118,7 +118,16 @@ def test_pairing_and_simple_root_take_only_the_index_set(index):
 )
 def test_pairing_takes_only_a_weight_of_two_ints(i, weight):
     """These once read 1, ``'a'`` and an ``IndexError``, and let a float or a
-    bool through."""
+    bool through; ``weight_to_roots`` read ``"ab"`` as ``('aabbb', 'abb')``."""
+    for call in (lambda: pairing(i, weight), lambda: weight_to_roots(weight)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == f"weight must be two ints, got {weight!r}"
+
+
+@pytest.mark.parametrize(("a", "b"), [(1.5, 2), (True, 0), (0, False), (2, "1")])
+def test_roots_to_weight_takes_only_ints(a, b):
+    """``(1.5, 2)`` once read ``(-3.0, 2.5)``."""
     with pytest.raises(ValueError) as exc:
-        pairing(i, weight)
-    assert str(exc.value) == f"weight must be two ints, got {weight!r}"
+        roots_to_weight(a, b)
+    assert str(exc.value) == f"root coordinates must be ints, got {(a, b)!r}"

@@ -322,6 +322,17 @@ def test_iso_check_depth_mismatch():
         iso_check(bfs(highest_minf(), 2, "minf"), bfs(highest_minf(), 3, "minf"))
 
 
+@pytest.mark.parametrize("bad", ["x", None, {"nodes": {}, "edges": []}])
+def test_graph_functions_refuse_non_graphs(bad):
+    graph = bfs(highest_minf(), 1, "minf")
+    message = f"expected a CrystalGraph, got {type(bad).__name__}"
+    for call in (lambda: iso_check(graph, bad), lambda: iso_check(bad, graph),
+                 lambda: weight_census(bad)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 def test_exports_are_deterministic():
     first = to_dot(bfs(highest_minf(), 3, "minf"))
     second = to_dot(bfs(highest_minf(), 3, "minf"))

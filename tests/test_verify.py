@@ -15,12 +15,18 @@ from pathlib import Path
 
 import pytest
 
-from g2crystal.cartan import INDEX_SET
+from g2crystal.cartan import INDEX_SET, weight_to_roots
 from g2crystal.cliff import CliffElement
 from g2crystal.minf import MinfElement
 from g2crystal.monomials import ExtMonomial
 from g2crystal.tableaux import MLTableau
-from g2crystal.verify import SUITES, check_bookkeeping, check_involution, random_monomial
+from g2crystal.verify import (
+    SUITES,
+    check_bookkeeping,
+    check_closure,
+    check_involution,
+    random_monomial,
+)
 
 from conftest import CHECK_COUNTS
 
@@ -56,13 +62,18 @@ def _wrong_off_family(orig):
     return lambda self, i: orig(self, i) if self.params() == (1, 1, 0) else wrong(self, i)
 
 
-def _outside(realization):
-    """A copy of an element outside the defining set, made past the constructor."""
+def _set_field(name, value):
+    """A copy of an element with field ``name`` set to ``value`` past the constructor."""
     def fault(elem):
         bad = copy.copy(elem)
-        object.__setattr__(bad, *OUTSIDE[realization])
+        object.__setattr__(bad, name, value)
         return bad
     return fault
+
+
+def _outside(realization):
+    """A copy of an element outside the defining set, made past the constructor."""
+    return _set_field(*OUTSIDE[realization])
 
 
 def _off_root(fault):
@@ -115,6 +126,79 @@ FAULTS = {
 }
 
 
+def _at_depth(depth, fault):
+    """``orig`` except at the elements ``depth`` steps below the highest one,
+    where ``fault`` replaces the image.  At a suite's own depth those images
+    are never enumerated, so only the suite's look at each image sees them."""
+    def make(orig):
+        def op(self, i):
+            img = orig(self, i)
+            return fault(img) if -sum(weight_to_roots(self.wt())) == depth else img
+        return op
+    return make
+
+
+# Another registry class per realization, for a lowering image of the wrong class.
+OTHER_CLASS = {"minf": MLTableau, "tableaux": CliffElement, "cliff": MinfElement}
+
+# Lowering images at the deepest level of ``check_closure(2)`` that their
+# class refuses: a negative or float count, ``b0 = 2`` (whose M(infinity)
+# expansion is another member's monomial), or an element of another class.
+DEEP_IMAGES = {
+    **{f"tableaux-{name}-negative": ("tableaux", _set_field(name, -1))
+       for name in ("b2", "b3", "b0", "b3bar", "b2bar", "b1bar")},
+    "tableaux-float-count": ("tableaux", _set_field("b2", 1.0)),
+    "minf-b0-2": ("minf", _set_field("b0", 2)),
+    **{f"{name}-wrong-class": (name, lambda _img, other=other: other())
+       for name, other in OTHER_CLASS.items()},
+}
+
+
+def _colors_swapped(orig):
+    """Lowering with the two colors exchanged."""
+    return lambda self, i: orig(self, 3 - i)
+
+
+def _one_count_per_color(orig):
+    """Lowering that always adds a 2 to row 1 for color 1 and a column 1 over 3
+    for color 2: each step is still one simple root, but every weight is
+    reached once."""
+    return lambda self, i: replace(self, b2=self.b2 + 1) if i == 1 else replace(
+        self, b3low=self.b3low + 1)
+
+
+def _twice_at_top(orig):
+    """Lowering that steps twice from an element of weight 0."""
+    return lambda self, i: orig(orig(self, i), i) if self.wt() == (0, 0) else orig(self, i)
+
+
+def _wt_of_sampled_positions(orig):
+    """A weight that reads only positions ``m <= 5``: right on every sample,
+    whose support ends at 5, and wrong on a lowering image reaching ``m = 6``."""
+    return lambda self: orig(ExtMonomial({(i, m): (u, v) for i, m, u, v in self.key() if m <= 5}))
+
+
+# Faults that reach the failure branches no ``FAULTS`` entry reaches, each with
+# the branch's own message: (suite, size, realization, operator, replacement, message).
+BRANCH_FAULTS = {
+    "involution-tableaux-wt-off-root": ("involution", 2, "tableaux", "wt", _wt_off_root,
+                                        "f_1 weight step wrong"),
+    "iso-minf-colors-swapped": ("iso", 3, "minf", "f", _colors_swapped,
+                                "minf and tableaux graphs differ"),
+    "census-tableaux-one-count-per-color": ("census", 2, "tableaux", "f", _one_count_per_color,
+                                            "tableaux count at -(1a1+1a2) is 1, expected 2"),
+    # The per-element checks imply the set equality, so this fault also fails
+    # them, at the highest element only.
+    "lemma-equivalence-monomial-twice-at-top": ("lemma-equivalence", 3, "monomial", "f",
+                                                _twice_at_top, "enumerations differ as sets"),
+    "bookkeeping-wt-of-sampled-positions": ("bookkeeping", 200, "monomial", "wt",
+                                            _wt_of_sampled_positions, "weight step wrong"),
+    "shift-minf-wt-off-root": ("shift", 2, "minf", "wt", _wt_off_root, "shift changes weight"),
+    "shift-minf-eps-off-root": ("shift", 2, "minf", "eps", _off_root(lambda n: n + 1),
+                                "shift changes eps/phi"),
+}
+
+
 def _run(suite, size):
     """``suite`` at ``size``: the depth, or the sample count for bookkeeping,
     whose ``SUITES`` entry always draws 10,000."""
@@ -130,7 +214,28 @@ def test_suite_catches_planted_fault(monkeypatch, fault):
     assert not report.ok, report.summary()
 
 
-@pytest.mark.parametrize("suite, size", sorted({(s, n) for s, n, *_rest in FAULTS.values()}))
+@pytest.mark.parametrize("fault", sorted(DEEP_IMAGES))
+def test_closure_refuses_deep_images(monkeypatch, fault):
+    """Each faulty image is refused by its realization's class, and reported."""
+    realization, image = DEEP_IMAGES[fault]
+    cls = CLASSES[realization]
+    monkeypatch.setattr(cls, "f", _at_depth(2, image)(cls.f))
+    report = check_closure(2)
+    assert not report.ok, report.summary()
+    assert all(f"{realization} f_" in d and "image is refused: " in d for d in report.details)
+
+
+@pytest.mark.parametrize("fault", sorted(BRANCH_FAULTS))
+def test_suite_reports_fault_in_its_branch(monkeypatch, fault):
+    suite, size, realization, op, plant, message = BRANCH_FAULTS[fault]
+    cls = CLASSES[realization]
+    monkeypatch.setattr(cls, op, plant(getattr(cls, op)))
+    report = _run(suite, size)
+    assert not report.ok and any(message in d for d in report.details), report.summary()
+
+
+@pytest.mark.parametrize("suite, size", sorted(
+    {(s, n) for s, n, *_rest in (*FAULTS.values(), *BRANCH_FAULTS.values())} | {("closure", 2)}))
 def test_suite_passes_unplanted(suite, size):
     report = _run(suite, size)
     assert report.ok, report.summary()
