@@ -18,7 +18,7 @@ import sys
 
 from .graph import bfs, element_from_json, highest_element, to_dot, to_json
 from .isomorphisms import REALIZATIONS, convert
-from .verify import SUITES
+from .verify import SUITES, SuiteReport
 
 DEFAULT_DEPTH_CAP = 12
 
@@ -81,7 +81,11 @@ def cmd_convert(args):
 
 
 def cmd_verify(args):
-    report = SUITES[args.suite](_check_depth(args.depth, args.force))
+    try:
+        report = SUITES[args.suite](_check_depth(args.depth, args.force))
+    except RuntimeError as exc:  # a broken invariant is a failed suite, not a crash
+        report = SuiteReport(args.suite)
+        report.fail(str(exc))
     print(report.summary())
     return 0 if report.ok else 1
 

@@ -90,28 +90,19 @@ class MLTableau(CountVector):
 
     @classmethod
     def from_rows(cls, row1, row2):
-        """Build from an explicit grid, validating the canonical shape."""
+        """Build from an explicit grid, the inverse of :meth:`rows`: the counts
+        are read off the letters, and the grid is accepted exactly when
+        ``rows()`` gives it back; any other grid is refused with one message.
+        The letters are checked first: ``count`` and ``==`` take ``True`` for 1."""
         if not isinstance(row1, (list, tuple)) or not isinstance(row2, (list, tuple)):
             raise ValueError("rows must be lists or tuples of letters")
-        if not row1 or not row2:
-            raise ValueError("both rows must be non-empty")
         for x in (*row1, *row2):
             if type(x) is not int or not L1 <= x <= L1B:
                 raise ValueError(f"letters must be ints 0..6, got {x!r}")
-        if list(row1) != sorted(row1):
-            raise ValueError("row 1 must be weakly increasing")
-        if row2[0] != L2 or any(x != L3 for x in row2[1:]):
-            raise ValueError("row 2 must be one 2 followed by 3s")
-        if len(row2) > len(row1):
-            raise ValueError("row 2 longer than row 1")
-        if any(row1[c] >= row2[c] for c in range(len(row2))):
-            raise ValueError("columns must increase strictly")
-        n = [row1.count(x) for x in range(7)]
-        if n[L1] != len(row2) + 1:
-            raise ValueError(
-                f"not marginally large: {n[L1]} ones in row 1 over a row 2 of length {len(row2)}"
-            )
-        return cls(*n[L2:], len(row2) - 1)
+        tab = cls(*map(row1.count, range(L2, L1B + 1)), len(row2[1:]))
+        if tab.rows() != (list(row1), list(row2)):
+            raise ValueError(f"not a marginally large tableau: {list(row1)} / {list(row2)}")
+        return tab
 
     # -- signature ------------------------------------------------------------
 

@@ -11,6 +11,7 @@ import pytest
 
 import g2crystal.cli
 from g2crystal.cli import main
+from g2crystal.minf import MinfElement, highest_minf
 
 from conftest import EXAMPLE_EXPONENTS, EXAMPLE_KS
 
@@ -266,6 +267,33 @@ def test_negative_depth_is_refused(capsys, monkeypatch, argv):
 def test_verify_closure_depth_zero(capsys, monkeypatch):
     code, out, _err = run(capsys, monkeypatch, ["verify", "closure", "--depth", "0"])
     assert code == 0 and "pass" in out
+
+
+def _plant_minf_f(monkeypatch, fault):
+    """Replace ``MinfElement.f`` at ``f_2(f_1(top))`` with ``fault(top)``."""
+    top = highest_minf()
+    below, real_f = top.f(1), MinfElement.f
+    monkeypatch.setattr(
+        MinfElement, "f", lambda self, i: fault(top) if (self, i) == (below, 2) else real_f(self, i)
+    )
+
+
+def test_verify_reports_a_broken_invariant(capsys, monkeypatch):
+    """A non-injective lowering operator trips ``bfs``'s ``RuntimeError``;
+    ``verify`` reports it as a failed suite, with no traceback."""
+    _plant_minf_f(monkeypatch, lambda top: top.f(2))  # f_2 f_1 top == f_2 top
+    code, out, err = run(capsys, monkeypatch, ["verify", "closure", "--depth", "2"])
+    assert (code, err) == (1, "")
+    assert out == "closure: FAIL (0 checks)\n  lowering operators must be injective\n"
+
+
+def test_verify_lets_programming_errors_through(capsys, monkeypatch):
+    def fault(_top):
+        raise TypeError("planted")
+
+    _plant_minf_f(monkeypatch, fault)
+    with pytest.raises(TypeError, match="planted"):
+        main(["verify", "closure", "--depth", "2"])
 
 
 @pytest.mark.parametrize(

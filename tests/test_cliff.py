@@ -226,6 +226,10 @@ def test_membership_chain():
     assert not _unchecked((0, 1, 1, 2, 3, 0)).is_member()  # 2*k13bar > k13
     with pytest.raises(ValueError, match="^not in the realization: "):
         CliffElement(0, 1, 1, 2, 3, 0)
+    # k12 = 3 over k11 = 2 breaks only the last link, 2*k12 <= 2*k11
+    assert not _unchecked((0, 0, 0, 3, 2, 0)).is_member()
+    with pytest.raises(ValueError, match="^not in the realization: "):
+        CliffElement(0, 0, 0, 3, 2, 0)
     with pytest.raises(ValueError):
         CliffElement(-1, 0, 0, 0, 0, 0)
     with pytest.raises(ValueError, match="nonnegative integers"):

@@ -83,6 +83,11 @@ def test_classify_seed():
     assert classify_seed(ExtMonomial({(1, 0): (0, 1)})) == ("highest", (1, 0))
     assert classify_seed(highest_monomial().f(1)) == ("neither", None)
     assert classify_seed(ExtMonomial({(1, 0): (2, 0), (2, 3): (5, 0)})) == ("binf", (2, 5))
+    # the boundaries of the "highest" and "binf" tests
+    assert classify_seed(ExtMonomial()) == ("highest", (0, 0))
+    assert classify_seed(ExtMonomial({(2, 0): (0, 1)})) == ("highest", (0, 1))
+    assert classify_seed(ExtMonomial({(2, 0): (1, 0)})) == ("neither", None)
+    assert classify_seed(ExtMonomial({(1, 0): (1, 0)})) == ("neither", None)
 
 
 def _random_monomial(rng, window=5, bound=4, keep_u_zero=False):

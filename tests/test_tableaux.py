@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from g2crystal.cartan import INDEX_SET, reduce_signature, simple_root, weight_sub
@@ -171,6 +173,60 @@ def test_from_rows_validation():
 def test_from_rows_refuses_rows_that_are_not_sequences(rows):
     with pytest.raises(ValueError, match="rows must be lists or tuples"):
         MLTableau.from_rows(*rows)
+
+
+def _reference_from_rows(row1, row2):
+    """The five hand-written shape rules and the ones count that the
+    comparison with ``rows()`` replaced, kept as the reference."""
+    if not isinstance(row1, (list, tuple)) or not isinstance(row2, (list, tuple)):
+        raise ValueError("rows must be lists or tuples of letters")
+    if not row1 or not row2:
+        raise ValueError("both rows must be non-empty")
+    for x in (*row1, *row2):
+        if type(x) is not int or not L1 <= x <= L1B:
+            raise ValueError(f"letters must be ints 0..6, got {x!r}")
+    if list(row1) != sorted(row1):
+        raise ValueError("row 1 must be weakly increasing")
+    if row2[0] != L2 or any(x != L3 for x in row2[1:]):
+        raise ValueError("row 2 must be one 2 followed by 3s")
+    if len(row2) > len(row1):
+        raise ValueError("row 2 longer than row 1")
+    if any(row1[c] >= row2[c] for c in range(len(row2))):
+        raise ValueError("columns must increase strictly")
+    n = [row1.count(x) for x in range(7)]
+    if n[L1] != len(row2) + 1:
+        raise ValueError(
+            f"not marginally large: {n[L1]} ones in row 1 over a row 2 of length {len(row2)}"
+        )
+    return MLTableau(*n[L2:], len(row2) - 1)
+
+
+def _small_grids(boxes):
+    """Every pair of letter rows with at most ``boxes`` boxes in all."""
+    for total in range(boxes + 1):
+        for cells in itertools.product(range(7), repeat=total):
+            for split in range(total + 1):
+                yield list(cells[:split]), list(cells[split:])
+
+
+def test_from_rows_matches_shape_rule_reference():
+    """The same grids are accepted, with the same counts, and the same
+    refused: every grid of at most 4 boxes and the grid of each oracle
+    vector."""
+    grids = list(_small_grids(4))
+    grids += [MLTableau(*counts).rows() for counts in oracle_vectors()]
+    accepted = 0
+    for row1, row2 in grids:
+        got = outcome(lambda: MLTableau.from_rows(row1, row2))
+        assert got == outcome(lambda: _reference_from_rows(row1, row2)), (row1, row2)
+        accepted += got is not ValueError
+    assert accepted == 7 + 2 * 4**6 + 2000  # 1 1 / 2, and 1 1 x / 2 for the six letters x > 1
+
+
+def test_from_rows_refuses_other_grids_with_one_message():
+    for row1, row2 in (([L1, L2], [L2]), ([L2, L1, L1], [L2]), ([L1, L1], [])):
+        with pytest.raises(ValueError, match=r"^not a marginally large tableau: \["):
+            MLTableau.from_rows(row1, row2)
 
 
 def test_weights():
