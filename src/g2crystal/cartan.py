@@ -43,7 +43,9 @@ interface, their class checked at ``bfs``, ``convert`` and the maps:
 * ``text()``: canonical one-line rendering,
 * ``to_json()`` and classmethod ``from_json(obj)``.
 
-All of them are immutable values; everything here is a pure function.
+All of them are immutable values; everything here is a pure function.  A
+count element's one record, written only by ``eps``, is invisible to
+equality, hashing, ``key``, JSON, ``vars`` and pickling.
 """
 
 from __future__ import annotations
@@ -150,7 +152,8 @@ def reduce_signature(runs):
     Runs with ``mult`` 0 are skipped.  A surviving run keeps its tag and the
     number of its symbols left: a zeros run keeps its first ``mult`` symbols,
     a ones run its last ``mult``, since each 1 cancels the nearest 0 to its
-    left.  The cost is linear in the number of runs, whatever their lengths.
+    left.  The cost is linear in the number of runs, whatever their lengths;
+    the survivors come back as a tuple, so no caller can change a record.
     """
     reduced = []
     for sym, tag, mult in runs:
@@ -162,20 +165,28 @@ def reduce_signature(runs):
                 reduced.append((0, zero_tag, zeros - cancelled))
         if mult:
             reduced.append((sym, tag, mult))
-    return reduced
+    return tuple(reduced)
 
 
 @dataclass(frozen=True)
 class CountElement:
     """Base of the count realizations: each subclass gives ``counts()`` and
     ``eps(i)``, and its fields are its JSON; ``phi`` reads the ``wt()`` of
-    :class:`CountVector` or of the tensor products."""
+    :class:`CountVector` or of the tensor products.  ``eps(i)`` alone records
+    its reduced signature in the slot ``_signatures``, ``None`` before (a set
+    slot reads far faster); pickling and copying rebuild from the fields."""
+
+    __slots__ = ("_signatures",)
+
+    def __reduce__(self):
+        return type(self), tuple(vars(self).values())
 
     def __post_init__(self):
         counts = self.counts()
         for c in counts:  # ``bool`` is not an ``int`` count
             if type(c) is not int or c < 0:
                 raise ValueError(f"counts must be nonnegative integers, got {counts}")
+        object.__setattr__(self, "_signatures", None)  # past the frozen __setattr__
 
     def key(self):
         return self.counts()
@@ -225,8 +236,15 @@ class CountVector(CountElement):
 
     def signature(self, i):
         """Reduced i-signature: the runs ``(symbol, tag, mult)`` of ``signature_word(i)``
-        that survive the (0,1) cancellation, ones before zeros."""
+        that survive the (0,1) cancellation, ones before zeros; ``eps(i)`` records it."""
+        recorded = self._signatures
+        if recorded and type(i) is int and i in recorded:  # True and 1.0 hash like 1
+            return recorded[i]
         return reduce_signature(self.signature_word(i))
 
     def eps(self, i):
-        return sum(n for sym, _tag, n in self.signature(i) if sym == 1)
+        sig = self.signature(i)
+        if (recorded := self._signatures) is None:
+            object.__setattr__(self, "_signatures", recorded := {})
+        recorded[i] = sig
+        return sum(n for sym, _tag, n in sig if sym == 1)

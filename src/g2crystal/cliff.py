@@ -24,7 +24,8 @@ factor is the crystal zero.
 The factors are read from the counts, and no factor objects are built: the
 slot ``b_j(-k)`` has eps_j = k, eps_i = minus infinity for i != j, and
 <h_i, wt> = -k * a_ij.  Minus infinity is the ``None`` sentinel; it is
-never added, and never maximal because the head's ``a_k`` is 0.
+never added, and never maximal because the head's ``a_k`` is 0.  Only
+``eps`` records ``a_seq(i)``, for the operators and ``phi`` to reuse.
 """
 
 from __future__ import annotations
@@ -67,7 +68,10 @@ class CliffElement(CountElement):
     # -- tensor product rule ------------------------------------------------
 
     def a_seq(self, i):
-        """The seven ``a_k`` values, ``None`` standing for minus infinity."""
+        """The seven ``a_k`` as a tuple, ``None`` for minus infinity, or ``eps(i)``'s record."""
+        recorded = self._signatures
+        if recorded and type(i) is int and i in recorded:  # True and 1.0 hash like 1
+            return recorded[i]
         check_index(i)
         out = [0]  # head factor u_inf: eps = 0, nothing before it
         acc = 0  # running sum of <h_i, wt(b^v)> over the factors before slot k
@@ -75,7 +79,7 @@ class CliffElement(CountElement):
             k = getattr(self, name)  # the factor b_idx(-k)
             out.append(k - acc if idx == i else None)
             acc -= k * CARTAN[(i, idx)]
-        return out
+        return tuple(out)
 
     def _select(self, i, lower):
         """Acting position per the tensor rule, 1-based over the seven slots:
@@ -109,7 +113,11 @@ class CliffElement(CountElement):
         return roots_to_weight(-n1, -n2)
 
     def eps(self, i):
-        return max(a for a in self.a_seq(i) if a is not None)
+        seq = self.a_seq(i)
+        if (recorded := self._signatures) is None:
+            object.__setattr__(self, "_signatures", recorded := {})
+        recorded[i] = seq
+        return max(a for a in seq if a is not None)
 
     # -- serialization -----------------------------------------------------------
 

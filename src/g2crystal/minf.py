@@ -29,7 +29,8 @@ operator) or the rightmost surviving 1 (for the raising operator).  The
 word is held as at most seven runs of equal symbols, one per component and
 symbol, and the cancellation acts on runs, so the cost does not grow with
 the counts; ``signature(i)`` is the reduced word, as those runs, that the
-operators and ``eps_i`` read.  Each case moves one unit between two counts,
+operators and ``eps_i`` read; only ``eps_i`` records it, for ``phi_i``,
+``f_i`` and ``e_i`` to reuse.  Each case moves one unit between two counts,
 a step of the fundamental chain 1 -1-> 2 -2-> 3 -1-> 0 -1-> 3b -2-> 2b -1->
 1b; ``f_i`` takes its step from one table and ``e_i`` from the inverted
 table, so ``e_i`` undoes ``f_i``.

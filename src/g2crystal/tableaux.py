@@ -21,8 +21,9 @@ replacement, and column insertion or removal to restore marginal largeness.
 They act on runs of the reading, not on a materialised grid: the reading is
 at most nine units of equal boxes or columns, each unit's signature symbols
 form runs, and a surviving symbol's offset in its run gives its box;
-``signature(i)`` is the reduced word in that run form.  So the cost does not
-grow with the counts.
+``signature(i)`` is the reduced word in that run form, which only ``eps``
+records, for the operators and ``phi`` to reuse.  So the cost does not grow
+with the counts.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ def reference_a_seq(elem, i):
         e = factor.eps(i)
         out.append(None if e is None else e - acc)
         acc += pairing(i, factor.wt())
-    return out
+    return tuple(out)
 
 
 def reference_wt(elem):
@@ -86,7 +86,7 @@ def a_seq_oracle(elem, i):
     """The closed-form a-values, written out term by term."""
     k12bar, k13bar, k13, k12, k11, k22 = elem.counts()
     if i == 1:
-        return [
+        return (
             0,
             k12bar,
             None,
@@ -94,8 +94,8 @@ def a_seq_oracle(elem, i):
             None,
             k11 + 2 * k12bar - 3 * k13bar + 2 * k13 - 3 * k12,
             None,
-        ]
-    return [
+        )
+    return (
         0,
         None,
         k13bar - k12bar,
@@ -103,7 +103,7 @@ def a_seq_oracle(elem, i):
         k12 - k12bar + 2 * k13bar - k13,
         None,
         k22 - k12bar + 2 * k13bar - k13 + 2 * k12 - k11,
-    ]
+    )
 
 
 def _random_member(rng):
@@ -197,13 +197,13 @@ def test_operators_never_raise_on_grid_members():
 
 def test_a_seq_at_the_origin():
     top = highest_cliff()
-    assert top.a_seq(1) == [0, 0, None, 0, None, 0, None]
-    assert top.a_seq(2) == [0, None, 0, None, 0, None, 0]
+    assert top.a_seq(1) == (0, 0, None, 0, None, 0, None)
+    assert top.a_seq(2) == (0, None, 0, None, 0, None, 0)
 
 
 def test_a_seq_matches_closed_forms():
     example = CliffElement(*EXAMPLE_KS)
-    assert example.a_seq(1) == [0, 1, None, 6, None, 6, None]
+    assert example.a_seq(1) == (0, 1, None, 6, None, 6, None)
     assert example.a_seq(2) == a_seq_oracle(example, 2)
     rng = random.Random(31)
     for _ in range(300):

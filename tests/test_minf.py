@@ -180,8 +180,8 @@ def test_round_trips():
 
 
 def test_signatures(example_monomial):
-    assert highest_minf().signature(1) == []
-    assert highest_minf().signature(2) == []
+    assert highest_minf().signature(1) == ()
+    assert highest_minf().signature(2) == ()
     elem = minf_from_monomial(example_monomial)
     assert _letters(elem.signature(1)) == [(1, "1b")] + [(1, "3b")] * 4 + [(1, "0")]
     assert _letters(elem.signature(2)) == [(0, "3b")]

@@ -1,9 +1,10 @@
 """Package-wide guards on how the source is built: the signature rules run
 through one live ``signature`` method, no invariant rests on ``assert``,
 the realization names are registered in one table, one builder makes
-every monomial and sorts its key, count elements write their JSON from
-their own fields, the methods shared by the count elements are written
-once, and so is the rule for which parameters name an M(infinity) family."""
+every monomial and sorts its key, only ``scan`` records a monomial scan and
+only ``eps`` a count signature, count elements write their JSON from their
+own fields, the methods shared by the count elements are written once, and
+so is the rule for which parameters name an M(infinity) family."""
 
 from __future__ import annotations
 
@@ -138,6 +139,51 @@ def test_only_scan_records_a_monomial_scan():
             ):
                 writers.add(func.name)
     assert writers == {"scan"}
+
+
+def test_only_eps_records_a_count_signature():
+    """Across the package every function but the two ``eps`` definitions, in
+    ``cartan.py`` and ``cliff.py``, sets the ``_signatures`` slot of the count
+    elements only to ``None`` and never stores into it, so operators never
+    record and the graphs ``bfs`` makes carry no record."""
+
+    def names_memo(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "_signatures"
+                or isinstance(node, ast.Constant) and node.value == "_signatures")
+
+    writers = set()
+    for name, func in _package_nodes():
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        # local names for the record, as in ``recorded = self._signatures``
+        aliases = {
+            target.id for node in ast.walk(func)
+            if isinstance(node, (ast.Assign, ast.NamedExpr))
+            and any(names_memo(part) for part in ast.walk(node.value))
+            for target in getattr(node, "targets", [getattr(node, "target", None)])
+            if isinstance(target, ast.Name)
+        }
+
+        def memo(node):
+            return names_memo(node) or isinstance(node, ast.Name) and node.id in aliases
+
+        for node in ast.walk(func):
+            if (
+                isinstance(node, (ast.Subscript, ast.Attribute))
+                and isinstance(node.ctx, (ast.Store, ast.Del))
+                and (names_memo(node) or memo(node.value))
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("setdefault", "update", "pop", "popitem", "clear",
+                                       "__setitem__")
+                and memo(node.func.value)
+                or isinstance(node, ast.Call) and any(names_memo(arg) for arg in node.args)
+                and not (isinstance(node.args[-1], ast.Constant) and node.args[-1].value is None)
+                and (isinstance(node.func, ast.Name) and node.func.id == "setattr"
+                     or isinstance(node.func, ast.Attribute)
+                     and node.func.attr in ("__setattr__", "__set__"))
+            ):
+                writers.add((name, func.name))
+    assert writers == {("cartan.py", "eps"), ("cliff.py", "eps")}
 
 
 def test_count_json_reads_no_field_table():
