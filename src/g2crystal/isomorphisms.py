@@ -47,7 +47,7 @@ def minf_to_tableau(elem):
     check_element("minf", elem)
     if elem.params() != (1, 1, 0):
         raise ValueError(
-            f"only M(1,1;0;infinity) corresponds to tableaux directly, got params {elem.params()}"
+            f"tableaux and cliff exist for M(1,1;0;infinity) only, got params {elem.params()}"
         )
     return MLTableau(*elem.counts())
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .cartan import INDEX_SET, pair_add, pair_neg, pairing, simple_root, weight_sub
 from .graph import bfs, highest_element, iso_check, kostant_partitions, weight_census
 from .isomorphisms import check_element, tableau_to_cliff, tableau_to_minf
-from .minf import highest_minf, is_minf_monomial
+from .minf import MinfElement, highest_minf, is_minf_monomial
 from .monomials import _build, highest_monomial
 
 _MAX_DETAILS = 5
@@ -51,6 +51,39 @@ def _agree(got, want, image):
     return image(got) == want
 
 
+def _morphism(report, x, *images):
+    """Report each structure map on which an image ``(name, y, to)`` is not the
+    image of ``x`` under the morphism ``to``: ``y`` keeps ``wt``, ``eps_i`` and
+    ``phi_i``, and ``to`` takes ``f_i x``, ``e_i x`` to ``f_i y``, ``e_i y``."""
+    wt = x.wt()
+    for name, y, _to in images:
+        if y.wt() != wt:
+            report.fail(f"{name} misses wt at {x.text()}")
+    for i in INDEX_SET:
+        eps, phi, moves = x.eps(i), x.phi(i), (("f", x.f(i)), ("e", x.e(i)))
+        for name, y, to in images:
+            if y.eps(i) != eps or y.phi(i) != phi:
+                report.fail(f"{name} misses eps_{i}/phi_{i} at {x.text()}")
+            for op, moved in moves:
+                if not _agree(moved, getattr(y, op)(i), to):
+                    report.fail(f"{name} misses {op}_{i} at {x.text()}")
+
+
+def _inverse_laws(report, realization, x, i, wt):
+    """``f_i x`` and ``e_i x``, the laws they break reported: ``e_i f_i x = x``
+    with ``f_i`` stepping ``wt``, the weight of ``x``, down by ``alpha_i``,
+    and ``f_i e_i x = x``, each where the operator is defined."""
+    down, up = x.f(i), x.e(i)
+    if down is not None:
+        if down.e(i) != x:
+            report.fail(f"{realization}: e_{i} f_{i} != id at {x.text()}")
+        if weight_sub(wt, down.wt()) != simple_root(i):
+            report.fail(f"{realization}: f_{i} weight step wrong at {x.text()}")
+    if up is not None and up.f(i) != x:
+        report.fail(f"{realization}: f_{i} e_{i} != id at {x.text()}")
+    return down, up
+
+
 def _three_graphs(depth):
     return tuple(bfs(highest_element(name), depth, name) for name in ("minf", "tableaux", "cliff"))
 
@@ -84,18 +117,10 @@ def check_involution(depth):
     graphs = _three_graphs(depth) + (bfs(highest_monomial(), depth, "monomial"),)
     for graph in graphs:
         for elem, _depth in graph.nodes.values():
+            wt = elem.wt()
             for i in INDEX_SET:
-                down = elem.f(i)
-                report.tick()
-                if down is not None:
-                    if down.e(i) != elem:
-                        report.fail(f"{graph.realization}: e_{i} f_{i} != id at {elem.text()}")
-                    if weight_sub(elem.wt(), down.wt()) != simple_root(i):
-                        report.fail(f"{graph.realization}: f_{i} weight step wrong at {elem.text()}")
-                up = elem.e(i)
-                report.tick()
-                if up is not None and up.f(i) != elem:
-                    report.fail(f"{graph.realization}: f_{i} e_{i} != id at {elem.text()}")
+                report.tick(2)
+                _inverse_laws(report, graph.realization, elem, i, wt)
     return report
 
 
@@ -109,21 +134,9 @@ def check_iso(depth):
         if not iso_check(left, right):
             report.fail(f"{left.realization} and {right.realization} graphs differ")
     for tab, _depth in gt.nodes.values():
-        bm, cf = tableau_to_minf(tab), tableau_to_cliff(tab)
-        maps = (("theta", bm, tableau_to_minf), ("tensor map", cf, tableau_to_cliff))
-        report.tick()
-        if not (tab.wt() == bm.wt() == cf.wt()):
-            report.fail(f"weights disagree at {tab.text()}")
-        for i in INDEX_SET:
-            moves = (("f", tab.f(i)), ("e", tab.e(i)))
-            report.tick(5)
-            for name, image, to in maps:
-                for op, moved in moves:
-                    if not _agree(moved, getattr(image, op)(i), to):
-                        report.fail(f"{name} misses {op}_{i} at {tab.text()}")
-            for op in ("eps", "phi"):
-                if not getattr(tab, op)(i) == getattr(bm, op)(i) == getattr(cf, op)(i):
-                    report.fail(f"{op}_{i} disagrees at {tab.text()}")
+        report.tick(11)  # wt, then per index eps/phi and the four operator images
+        _morphism(report, tab, ("theta", tableau_to_minf(tab), tableau_to_minf),
+                  ("tensor map", tableau_to_cliff(tab), tableau_to_cliff))
     return report
 
 
@@ -155,16 +168,8 @@ def check_lemma_equivalence(depth):
     for elem, _depth in gm.nodes.values():
         mono = elem.to_monomial()
         minf_keys.add(mono.key())
-        if elem.wt() != mono.wt():
-            report.fail(f"weight mismatch at {elem.text()}")
-        for i in INDEX_SET:
-            report.tick(2)
-            if elem.eps(i) != mono.eps(i) or elem.phi(i) != mono.phi(i):
-                report.fail(f"eps_{i}/phi_{i} mismatch at {elem.text()}")
-            for op in ("f", "e"):
-                got, want = getattr(elem, op)(i), getattr(mono, op)(i)
-                if not _agree(got, want, lambda x: x.to_monomial()):
-                    report.fail(f"{op}_{i} rule mismatch at {elem.text()}")
+        report.tick(4)
+        _morphism(report, elem, ("to_monomial", mono, MinfElement.to_monomial))
     gy = bfs(highest_monomial(), depth, "monomial")
     report.tick()
     if minf_keys != set(gy.nodes):
@@ -217,12 +222,8 @@ def check_bookkeeping(count=10000, seed=20260313):
                 report.fail(f"pair weight bookkeeping fails at {mono.text()} i={i}")
             if mono.phi(i) - mono.eps(i) != pairing(i, wt):
                 report.fail(f"weight bookkeeping fails at {mono.text()} i={i}")
-            down = mono.f(i)
+            down, up = _inverse_laws(report, "monomial", mono, i, wt)
             if down is not None:
-                if down.e(i) != mono:
-                    report.fail(f"e_{i} f_{i} != id at {mono.text()}")
-                if weight_sub(wt, down.wt()) != simple_root(i):
-                    report.fail(f"f_{i} weight step wrong at {mono.text()}")
                 if res.m_f is None:
                     report.fail(f"no m_f where f_{i} acts at {mono.text()}")
                 else:
@@ -230,10 +231,7 @@ def check_bookkeeping(count=10000, seed=20260313):
                         report.fail(f"m_f position not positive at {mono.text()}")
                     if mono.exponent(i, res.m_f + 1) > (0, 0):
                         report.fail(f"exponent after m_f positive at {mono.text()}")
-            up = mono.e(i)
             if up is not None:
-                if up.f(i) != mono:
-                    report.fail(f"f_{i} e_{i} != id at {mono.text()}")
                 if res.m_e is None:
                     report.fail(f"no m_e where e_{i} acts at {mono.text()}")
                 else:

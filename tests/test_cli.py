@@ -222,6 +222,28 @@ def test_convert_shifted_monomial_keeps_parameters(capsys, monkeypatch):
     }
 
 
+@pytest.mark.parametrize("target", ["cliff", "tableaux"])
+@pytest.mark.parametrize(
+    ("source", "stdin", "params"),
+    [
+        ("minf", '{"p1": 2}', (2, 1, 0)),
+        ("monomial", '[{"i": 1, "m": 0, "u": 1, "v": 0}, {"i": 2, "m": -1, "u": 1, "v": 0}]',
+         (1, 1, 1)),
+    ],
+    ids=["minf", "monomial"],
+)
+def test_convert_shifted_family_to_tableaux_or_cliff_refused(
+        capsys, monkeypatch, target, source, stdin, params):
+    """Tableaux and ``cliff`` exist for M(1,1;0;infinity) only, and the
+    refusal names both targets."""
+    code, out, err = run(
+        capsys, monkeypatch, ["convert", "--from", source, "--to", target], stdin=stdin
+    )
+    assert code == 2 and out == ""
+    assert err == (f"g2crystal: tableaux and cliff exist for M(1,1;0;infinity) only, "
+                   f"got params {params}\n")
+
+
 def test_count_bound_is_inclusive(capsys, monkeypatch):
     code, out, err = run(
         capsys, monkeypatch,

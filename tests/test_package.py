@@ -4,7 +4,8 @@ the realization names are registered in one table, one builder makes
 every monomial and sorts its key, only ``scan`` records a monomial scan and
 only ``eps`` a count signature, count elements write their JSON from their
 own fields, the methods shared by the count elements are written once, and
-so is the rule for which parameters name an M(infinity) family."""
+so are the rule for which parameters name an M(infinity) family and the
+crystal laws the verification suites check."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import g2crystal
+from g2crystal import verify
 from g2crystal.cartan import INDEX_SET, CountElement, CountVector
 from g2crystal.cliff import CliffElement
 from g2crystal.minf import MinfElement
@@ -263,3 +265,21 @@ def test_one_family_rule():
     assert len(allowed) == 2, allowed
     found = sorted(f"{name}:{node.lineno}" for name, node in _package_nodes() if is_rule(node))
     assert found == allowed
+
+
+def test_verify_writes_each_crystal_law_once():
+    """In ``verify.py`` only ``_inverse_laws`` names ``simple_root`` or
+    ``weight_sub``, and only ``_morphism`` and ``check_shift_family`` name
+    ``_agree``: the inverse laws and the morphism law are each written once,
+    and the suites that check them only choose the elements."""
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    users = {}
+    for top in tree.body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                users.setdefault(node.id, set()).add(owner)
+    assert users["simple_root"] | users["weight_sub"] == {"_inverse_laws"}
+    assert users["_agree"] == {"_morphism", "check_shift_family"}
+    assert users["_inverse_laws"] == {"check_involution", "check_bookkeeping"}
+    assert users["_morphism"] == {"check_iso", "check_lemma_equivalence"}

@@ -199,6 +199,45 @@ BRANCH_FAULTS = {
 }
 
 
+def _color_1_zero_at(depth):
+    """Lowering by color 1 zero at the elements ``depth`` steps below the
+    highest one: color 2 alone reaches the next level, where raising by
+    color 1 then has no inverse."""
+    def make(orig):
+        faulty = _at_depth(depth, lambda img: None)(orig)
+        return lambda self, i: faulty(self, i) if i == 1 else orig(self, i)
+    return make
+
+
+# Each law of the two shared checks reached through each suite that runs it,
+# with the law's own message, as in ``BRANCH_FAULTS``: the inverse laws
+# through ``involution`` and ``bookkeeping`` (``BRANCH_FAULTS`` already
+# reaches the weight step through both), and the morphism law through
+# ``iso``'s two maps and ``lemma-equivalence``.
+LAW_FAULTS = {
+    **{
+        f"{suite}-{name}-e-zero": (suite, size, name, "e", lambda orig: _zero,
+                                   f"{name}: e_1 f_1 != id")
+        for suite, size, name in (("involution", 2, "minf"), ("bookkeeping", 200, "monomial"))
+    },
+    "involution-tableaux-f1-zero-at-depth-2": ("involution", 3, "tableaux", "f",
+                                               _color_1_zero_at(2), "tableaux: f_1 e_1 != id"),
+    "bookkeeping-monomial-f-zero": ("bookkeeping", 200, "monomial", "f", lambda orig: _zero,
+                                    "monomial: f_1 e_1 != id"),
+    **{
+        f"{suite}-{name}-{op}": (suite, 3, name, op, plant, f"{image} misses {law}")
+        for suite, name, image in (("iso", "minf", "theta"), ("iso", "cliff", "tensor map"),
+                                   ("lemma-equivalence", "monomial", "to_monomial"))
+        for op, law, plant in (("wt", "wt", _wt_off_root),
+                               ("eps", "eps_", _off_root(lambda n: n + 1)),
+                               ("f", "f_", _at_depth(3, lambda img: None)),
+                               ("e", "e_", _at_depth(3, lambda img: None)))
+    },
+}
+
+MESSAGE_FAULTS = {**BRANCH_FAULTS, **LAW_FAULTS}
+
+
 def _run(suite, size):
     """``suite`` at ``size``: the depth, or the sample count for bookkeeping,
     whose ``SUITES`` entry always draws 10,000."""
@@ -225,9 +264,9 @@ def test_closure_refuses_deep_images(monkeypatch, fault):
     assert all(f"{realization} f_" in d and "image is refused: " in d for d in report.details)
 
 
-@pytest.mark.parametrize("fault", sorted(BRANCH_FAULTS))
+@pytest.mark.parametrize("fault", sorted(MESSAGE_FAULTS))
 def test_suite_reports_fault_in_its_branch(monkeypatch, fault):
-    suite, size, realization, op, plant, message = BRANCH_FAULTS[fault]
+    suite, size, realization, op, plant, message = MESSAGE_FAULTS[fault]
     cls = CLASSES[realization]
     monkeypatch.setattr(cls, op, plant(getattr(cls, op)))
     report = _run(suite, size)
@@ -235,7 +274,7 @@ def test_suite_reports_fault_in_its_branch(monkeypatch, fault):
 
 
 @pytest.mark.parametrize("suite, size", sorted(
-    {(s, n) for s, n, *_rest in (*FAULTS.values(), *BRANCH_FAULTS.values())} | {("closure", 2)}))
+    {(s, n) for s, n, *_rest in (*FAULTS.values(), *MESSAGE_FAULTS.values())} | {("closure", 2)}))
 def test_suite_passes_unplanted(suite, size):
     report = _run(suite, size)
     assert report.ok, report.summary()
