@@ -1,22 +1,23 @@
 """Command-line surface: graph export, operator words, conversion, verification.
 
 Elements travel as JSON (stdin or ``--input``); graphs leave as DOT or JSON
-on stdout or ``--out``.  Exit codes: 0 success, 1 property violation,
-2 usage or input error.  Depths beyond ``DEFAULT_DEPTH_CAP`` (12) are
-refused without ``--force`` since level sizes grow like the Kostant
-partition function.  ``convert`` routes through M(infinity), so ``--from
-minf`` and ``--from monomial`` keep the family parameters ``(p1, p2, r)``
-when the target is ``minf`` or ``monomial``; tableaux and ``cliff`` exist
-for (1, 1, 0) only.
+on stdout or ``--out``, piece by piece.  Exit codes: 0 success, 1 property
+violation, 2 usage or input error, with one stderr line (a failed write leaves
+a partial document).  Depths beyond ``DEFAULT_DEPTH_CAP`` (12) are refused
+without ``--force`` since level sizes grow like the Kostant partition
+function.  ``convert`` routes through M(infinity), so ``--from minf`` and
+``--from monomial`` keep the family parameters ``(p1, p2, r)`` when the
+target is ``minf`` or ``monomial``; tableaux and ``cliff`` exist for (1, 1, 0) only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .graph import bfs, element_from_json, highest_element, to_dot, to_json
+from .graph import _dot_chunks, _json_chunks, bfs, element_from_json, highest_element
 from .isomorphisms import REALIZATIONS, convert
 from .verify import SUITES, SuiteReport
 
@@ -51,12 +52,17 @@ def _read_element(args):
 def cmd_graph(args):
     depth = _check_depth(args.depth, args.force)
     graph = bfs(highest_element(args.realization), depth, args.realization)
-    text = to_dot(graph) if args.format == "dot" else to_json(graph)
+    chunks = _dot_chunks(graph) if args.format == "dot" else _json_chunks(graph)
     if args.out and args.out != "-":
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()  # a reader that left is reported here, not at exit
+        except BrokenPipeError:  # drop what stdout still buffers, or exit flushes it again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise
     return 0
 
 
@@ -90,8 +96,13 @@ def cmd_verify(args):
     return 0 if report.ok else 1
 
 
+class _Parser(argparse.ArgumentParser):  # subcommand parsers are built with it too
+    def error(self, message):  # a usage error ends like an input error: one line, exit 2
+        self.exit(2, f"g2crystal: {' '.join(message.splitlines())}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="g2crystal",
         description="Enumerate, convert and verify combinatorial models of the G2 infinity crystal.",
     )
@@ -129,8 +140,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

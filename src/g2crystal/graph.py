@@ -9,10 +9,10 @@ discovery order, so each edge's source is the root or the target of an
 earlier edge; :func:`iso_check` reads them in that order.  Every lowering edge
 drops the weight by one simple root, hence a node's depth equals the height
 ``a + b`` of ``-(a*alpha_1 + b*alpha_2)``; the census and the Kostant
-partition oracle exploit that.  JSON export fills fixed templates, strings
-escaped by the C encoder; the contract is byte-identity with the stdlib
-encoder at ``indent=2``.  Realization names are looked up in
-:data:`~g2crystal.isomorphisms.REALIZATIONS`.
+partition oracle exploit that.  Each export yields text chunks (header,
+nodes, edges) that the CLI writes as they come and ``to_dot``/``to_json``
+join; JSON fills fixed templates, byte-identical to the stdlib encoder at
+``indent=2``.  Names are looked up in :data:`~g2crystal.isomorphisms.REALIZATIONS`.
 """
 
 from __future__ import annotations
@@ -132,17 +132,19 @@ def _numbered(graph):
     return ids, sorted(graph.edges, key=lambda e: (ids[e[0]], e[1]))
 
 
-def to_dot(graph):
+def _dot_chunks(graph):
     ids, edges = _numbered(graph)
-    lines = ["digraph crystal {", "  rankdir=TB;"]
+    yield "digraph crystal {\n  rankdir=TB;\n"
     for key, (elem, _depth) in graph.nodes.items():
         label = elem.text().replace('"', '\\"')
-        lines.append(f'  {ids[key]} [label="{label}"];')
+        yield f'  {ids[key]} [label="{label}"];\n'
     for src, i, dst in edges:
-        style = "solid" if i == 1 else "dashed"
-        lines.append(f"  {ids[src]} -> {ids[dst]} [label={i}, style={style}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  {ids[src]} -> {ids[dst]} [label={i}, style={"solid" if i == 1 else "dashed"}];\n'
+    yield "}\n"
+
+
+def to_dot(graph):
+    return "".join(_dot_chunks(graph))
 
 
 def _json_value(value, pad):
@@ -166,28 +168,31 @@ def _json_value(value, pad):
     raise TypeError(f"not an element JSON value: {value!r}")
 
 
-def to_json(graph):
-    ids, edge_list = _numbered(graph)
-    nodes = []
-    for key, (elem, depth) in graph.nodes.items():
+def _json_chunks(graph):
+    ids, edges = _numbered(graph)
+    yield (
+        f'{{\n  "realization": {_quote(graph.realization)},\n  "depth": {graph.depth},\n'
+        f'  "root": "{ids[graph.root]}",\n  "nodes": ['
+    )
+    for pos, (key, (elem, depth)) in enumerate(graph.nodes.items()):
         w1, w2 = elem.wt()
-        nodes.append(
+        yield (",\n" if pos else "\n") + (
             f'    {{\n      "id": "{ids[key]}",\n      "depth": {depth},\n'
             f'      "weight": [\n        {w1},\n        {w2}\n      ],\n'
             f'      "label": {_quote(elem.text())},\n'
             f'      "element": {_json_value(elem.to_json(), "      ")}\n    }}'
         )
-    edges = [
-        f'    {{\n      "source": "{ids[src]}",\n      "i": {i},\n'
-        f'      "target": "{ids[dst]}"\n    }}'
-        for src, i, dst in edge_list
-    ]
-    edge_text = "[\n" + ",\n".join(edges) + "\n  ]" if edges else "[]"
-    return (
-        f'{{\n  "realization": {_quote(graph.realization)},\n  "depth": {graph.depth},\n'
-        f'  "root": "{ids[graph.root]}",\n  "nodes": [\n' + ",\n".join(nodes) + "\n  ],\n"
-        f'  "edges": {edge_text}\n}}\n'
-    )
+    yield '\n  ],\n  "edges": ['
+    for pos, (src, i, dst) in enumerate(edges):
+        yield (",\n" if pos else "\n") + (
+            f'    {{\n      "source": "{ids[src]}",\n      "i": {i},\n'
+            f'      "target": "{ids[dst]}"\n    }}'
+        )
+    yield "\n  ]\n}\n" if edges else "]\n}\n"
+
+
+def to_json(graph):
+    return "".join(_json_chunks(graph))
 
 
 def highest_element(realization):

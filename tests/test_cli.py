@@ -2,18 +2,24 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import g2crystal.cli
 from g2crystal.cli import main
+from g2crystal.graph import bfs, highest_element, to_dot, to_json
+from g2crystal.isomorphisms import REALIZATIONS
 from g2crystal.minf import MinfElement, highest_minf
 
 from conftest import EXAMPLE_EXPONENTS, EXAMPLE_KS
+
+REALIZATION_NAMES = sorted(REALIZATIONS)
 
 
 def run(capsys, monkeypatch, argv, stdin=""):
@@ -49,22 +55,112 @@ def test_graph_json_to_file(tmp_path, capsys, monkeypatch):
     assert len(payload["nodes"]) == 1 and payload["edges"] == []
 
 
-def test_graph_exports_through_one_library_call(capsys, monkeypatch):
-    """``graph`` writes exactly what one call of ``to_json`` or ``to_dot``
-    returns; ``bench/tracer.py`` times export as the spans of those calls."""
-    calls, returned = {"to_json": 0, "to_dot": 0}, []
-    for name in calls:
-        def counted(graph, _export=getattr(g2crystal.cli, name), _name=name):
-            calls[_name] += 1
-            returned.append(_export(graph))
-            return returned[-1]
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+@pytest.mark.parametrize("realization", REALIZATION_NAMES)
+def test_graph_writes_the_library_export(realization, fmt, tmp_path, capsysbinary, monkeypatch):
+    """The pieces ``graph`` writes, to stdout and to ``--out``, make up the
+    bytes of ``to_json``/``to_dot`` exactly."""
+    export = to_json if fmt == "json" else to_dot
+    want = export(bfs(highest_element(realization), 6, realization)).encode("utf-8")
+    argv = ["graph", "--realization", realization, "--depth", "6", "--format", fmt]
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == want
+    target = tmp_path / f"g.{fmt}"
+    assert main(argv + ["--out", str(target)]) == 0
+    assert target.read_bytes() == want and capsysbinary.readouterr().out == b""
 
-        monkeypatch.setattr(g2crystal.cli, name, counted)
-    argv = ["graph", "--realization", "cliff", "--depth", "3", "--format"]
-    code, out, _err = run(capsys, monkeypatch, argv + ["json"])
-    assert code == 0 and calls == {"to_json": 1, "to_dot": 0} and out == returned[-1]
-    code, out, _err = run(capsys, monkeypatch, argv + ["dot"])
-    assert code == 0 and calls == {"to_json": 1, "to_dot": 1} and out == returned[-1]
+
+def test_graph_export_is_never_built_whole(tmp_path, monkeypatch):
+    """Writing the depth-16 monomial JSON peaks above the built graph by less
+    than a quarter of the document's length: the writer holds node ids, the
+    sorted edges and one piece at a time, not the document."""
+    graph = bfs(highest_element("monomial"), 16, "monomial")
+    length = len(to_json(graph))
+    monkeypatch.setattr(g2crystal.cli, "bfs", lambda *args: graph)
+    argv = ["graph", "--realization", "monomial", "--depth", "16", "--force",
+            "--format", "json", "--out", str(tmp_path / "g.json")]
+    main(argv)  # parser and I/O set-up allocate once per process; measure a later run
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and (tmp_path / "g.json").stat().st_size == length
+    assert peak < length / 4, f"peak {peak} B for a {length} B document"
+
+
+def run_process(argv, **kwargs):
+    """``python -m g2crystal.cli ARGV`` on the package under test."""
+    env = dict(os.environ, PYTHONPATH=str(Path(g2crystal.cli.__file__).parents[1]))
+    env.update(kwargs.pop("env", {}))
+    return subprocess.Popen(
+        [sys.executable, "-m", "g2crystal.cli", *argv], env=env, stderr=subprocess.PIPE, **kwargs
+    )
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_graph_to_a_full_device_exits_two():
+    proc = run_process(["graph", "--realization", "monomial", "--depth", "8", "--format", "json",
+                        "--out", "/dev/full"])
+    _out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err.decode().splitlines() == ["g2crystal: [Errno 28] No space left on device"]
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("depth", [14, 0])
+def test_graph_to_a_reader_that_leaves_exits_two(depth, unbuffered):
+    """A reader that leaves early gets one stderr line and exit 2, with nothing
+    left for exit's flush to report: at depth 14 it reads once and closes
+    (``| head -c 100``), at depth 0 it is gone before the first write, so the
+    whole document is still in stdout's buffer when the write fails.  Also
+    under ``PYTHONUNBUFFERED``, where a write cut short used to pass silently."""
+    argv = ["graph", "--realization", "monomial", "--depth", str(depth), "--force",
+            "--format", "json"]
+    read_end, write_end = os.pipe()
+    if not depth:
+        os.close(read_end)
+    with run_process(argv, stdout=write_end, env={"PYTHONUNBUFFERED": unbuffered}) as proc:
+        os.close(write_end)
+        if depth:
+            assert os.read(read_end, 100)
+            os.close(read_end)
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+    assert err.splitlines() == ["g2crystal: [Errno 32] Broken pipe"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["nope"], "argument command: invalid choice: 'nope'"),
+        (["graph", "--realization", "minf", "--format", "svg", "--depth", "1"],
+         "argument --format: invalid choice: 'svg'"),
+        (["verify", "iso", "--depth", "x"], "argument --depth: invalid int value: 'x'"),
+        (["graph", "--depth", "2"], "the following arguments are required: --realization"),
+        ([], "the following arguments are required: command"),
+        (["convert", "--from", "minf", "--to", "cliff", "--bogus", "a\nb"],
+         "unrecognized arguments: --bogus a b"),
+    ],
+)
+def test_usage_errors_print_one_line(argv, message, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"g2crystal: {message}")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["graph", "-h"], ["verify", "--help"]])
+def test_help_keeps_its_output(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    captured = capsys.readouterr()
+    assert err.value.code == 0 and captured.err == ""
+    assert captured.out.startswith("usage: g2crystal") and captured.out.count("\n") > 3
 
 
 def test_graph_rejects_unknown_realization(capsys, monkeypatch):

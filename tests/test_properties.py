@@ -1,6 +1,6 @@
 """Property tests: conversion round trips over every pair of realizations,
-the inverse laws of the operators along long words, and arbitrary JSON at
-the CLI boundary.
+the inverse laws of the operators along long words, and arbitrary JSON and
+argument lists at the CLI boundary.
 
 Examples are derandomized with a fixed budget, so the suite is
 deterministic and short.
@@ -107,3 +107,35 @@ def test_cli_exits_zero_or_two_on_any_json(value, realization, target, word):
             code = main(argv)
         assert code in (0, 2)
         assert (err.getvalue().count("\n") == 1) == (code == 2)
+
+
+# Argument tokens: every command, flag and kind of value, and a little noise
+# without digits, so no drawn depth is large; ``--out`` is left out, as a
+# drawn path would be written to.
+ARGV_TOKENS = (
+    ["graph", "apply", "convert", "verify", "--realization", "--depth", "--format", "--force",
+     "--word", "--input", "--from", "--to", "--help", "-h", "--", "-", "--de", "--f"]
+    + NAMES
+    + ["nope", "dot", "json", "svg", "f1", "e2 f1", "f3", "0", "1", "2", "-1", "x", "1.5"]
+    + ["iso", "census", "closure", "involution", "lemma-equivalence", "bookkeeping", "shift"]
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    argv=st.lists(
+        st.sampled_from(ARGV_TOKENS)
+        | st.text(st.characters(exclude_categories=["Nd"]), max_size=4),
+        max_size=7,
+    )
+)
+def test_cli_exits_zero_one_or_two_on_any_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO("{}")), redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: --help, or a usage error
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("g2crystal: ")
