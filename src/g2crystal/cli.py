@@ -57,12 +57,7 @@ def cmd_graph(args):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
     else:
-        try:
-            sys.stdout.writelines(chunks)
-            sys.stdout.flush()  # a reader that left is reported here, not at exit
-        except BrokenPipeError:  # drop what stdout still buffers, or exit flushes it again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            raise
+        sys.stdout.writelines(chunks)
     return 0
 
 
@@ -142,8 +137,12 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left is reported here, not at exit
+        return code
     except (ValueError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):  # drop what stdout buffers, or exit flushes it
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"g2crystal: {exc}", file=sys.stderr)
         return 2
 

@@ -36,6 +36,7 @@ from .cartan import CARTAN, CountElement, check_index, roots_to_weight
 
 # Field name and factor index for each tensor slot, in tensor order.
 _SLOTS = (("k12bar", 1), ("k13bar", 2), ("k13", 1), ("k12", 2), ("k11", 1), ("k22", 2))
+_LABEL = "u∞ ⊗ b1(%d) ⊗ b2(%d) ⊗ b1(%d) ⊗ b2(%d) ⊗ b1(%d) ⊗ b2(%d)"  # text(), in tensor order
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ class CliffElement(CountElement):
     # -- serialization -----------------------------------------------------------
 
     def text(self):
-        return "u∞ ⊗ " + " ⊗ ".join(f"b{idx}({-getattr(self, name)})" for name, idx in _SLOTS)
+        return _LABEL % (-self.k12bar, -self.k13bar, -self.k13, -self.k12, -self.k11, -self.k22)
 
 
 def highest_cliff():

@@ -12,12 +12,15 @@ drops the weight by one simple root, hence a node's depth equals the height
 partition oracle exploit that.  Each export yields text chunks (header,
 nodes, edges) that the CLI writes as they come and ``to_dot``/``to_json``
 join; JSON fills fixed templates, byte-identical to the stdlib encoder at
-``indent=2``.  Names are looked up in :data:`~g2crystal.isomorphisms.REALIZATIONS`.
+``indent=2``; an element's ``to_json()``, an object or a list of them, fills one
+template per object shape, a ``%d`` per field (the constructors refuse non-int
+fields).  Names are looked up in :data:`~g2crystal.isomorphisms.REALIZATIONS`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 
 from .cartan import INDEX_SET, POSITIVE_ROOTS, weight_to_roots
@@ -126,10 +129,10 @@ def kostant_partitions(a, b):
 
 
 def _numbered(graph):
-    """Node ids in ``graph.nodes`` order, and edges sorted by source id *string*
-    (``"n10"`` before ``"n2"``), then color: the pinned export digests need it."""
+    """Node ids in ``graph.nodes`` order, and edges as ``(src id, color, dst id)`` sorted
+    by source id *string* (``"n10"`` before ``"n2"``), then color: the export digests need it."""
     ids = {key: f"n{pos}" for pos, key in enumerate(graph.nodes)}
-    return ids, sorted(graph.edges, key=lambda e: (ids[e[0]], e[1]))
+    return ids, sorted([(ids[src], i, ids[dst]) for src, i, dst in graph.edges])
 
 
 def _dot_chunks(graph):
@@ -139,7 +142,7 @@ def _dot_chunks(graph):
         label = elem.text().replace('"', '\\"')
         yield f'  {ids[key]} [label="{label}"];\n'
     for src, i, dst in edges:
-        yield f'  {ids[src]} -> {ids[dst]} [label={i}, style={"solid" if i == 1 else "dashed"}];\n'
+        yield f'  {src} -> {dst} [label={i}, style={"solid" if i == 1 else "dashed"}];\n'
     yield "}\n"
 
 
@@ -147,25 +150,22 @@ def to_dot(graph):
     return "".join(_dot_chunks(graph))
 
 
-def _json_value(value, pad):
-    """``value`` as the stdlib encoder prints it at ``indent=2``, nested at
-    ``pad``: ints, strs, lists and str-keyed dicts only; bool, None, floats
-    and anything else raise :class:`TypeError` rather than being guessed at."""
-    if type(value) is int:
-        return str(value)
-    if isinstance(value, str):
-        return _quote(value)
+@cache
+def _object_template(keys, pad):
+    """The stdlib encoding at ``indent=2``, nested at ``pad``, of an object with ``keys`` and
+    a ``%d`` per value, which is not checked; a non-str key raises :class:`TypeError`."""
     inner = pad + "  "
-    if isinstance(value, list):
-        items = [inner + _json_value(v, inner) for v in value]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
-    if isinstance(value, dict):
-        items = [
-            f"{inner}{_quote(k)}: {v if type(v) is int else _json_value(v, inner)}"
-            for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
-    raise TypeError(f"not an element JSON value: {value!r}")
+    items = [f"{inner}{_quote(k).replace('%', '%%')}: %d" for k in keys]
+    return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
+
+
+def _element_json(obj, pad):
+    """An element's ``to_json()`` as the stdlib encoder prints it at ``indent=2``, at ``pad``."""
+    if type(obj) is dict:
+        return _object_template(tuple(obj), pad) % tuple(obj.values())
+    inner = pad + "  "
+    items = [_object_template(tuple(rec), inner) % tuple(rec.values()) for rec in obj]
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]" if items else "[]"
 
 
 def _json_chunks(graph):
@@ -180,13 +180,13 @@ def _json_chunks(graph):
             f'    {{\n      "id": "{ids[key]}",\n      "depth": {depth},\n'
             f'      "weight": [\n        {w1},\n        {w2}\n      ],\n'
             f'      "label": {_quote(elem.text())},\n'
-            f'      "element": {_json_value(elem.to_json(), "      ")}\n    }}'
+            f'      "element": {_element_json(elem.to_json(), "      ")}\n    }}'
         )
     yield '\n  ],\n  "edges": ['
     for pos, (src, i, dst) in enumerate(edges):
         yield (",\n" if pos else "\n") + (
-            f'    {{\n      "source": "{ids[src]}",\n      "i": {i},\n'
-            f'      "target": "{ids[dst]}"\n    }}'
+            f'    {{\n      "source": "{src}",\n      "i": {i},\n'
+            f'      "target": "{dst}"\n    }}'
         )
     yield "\n  ]\n}\n" if edges else "]\n}\n"
 

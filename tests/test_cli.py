@@ -109,22 +109,37 @@ def test_graph_to_a_full_device_exits_two():
     assert err.decode().splitlines() == ["g2crystal: [Errno 28] No space left on device"]
 
 
+_GRAPH_ARGV = ["graph", "--realization", "monomial", "--force", "--format", "json", "--depth"]
+_LEAVING_READER_RUNS = {  # argv and stdin of each run; "14" alone is read before the reader leaves
+    "14": (_GRAPH_ARGV + ["14"], None),
+    "0": (_GRAPH_ARGV + ["0"], None),
+    "apply": (["apply", "--realization", "minf", "--word", "f1"], b"{}"),
+    "convert": (["convert", "--from", "tableaux", "--to", "cliff"], b"{}"),
+    "verify": (["verify", "census", "--depth", "8"], None),
+}
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"])
-@pytest.mark.parametrize("depth", [14, 0])
-def test_graph_to_a_reader_that_leaves_exits_two(depth, unbuffered):
+@pytest.mark.parametrize("run_name", list(_LEAVING_READER_RUNS))
+def test_graph_to_a_reader_that_leaves_exits_two(run_name, unbuffered):
     """A reader that leaves early gets one stderr line and exit 2, with nothing
-    left for exit's flush to report: at depth 14 it reads once and closes
-    (``| head -c 100``), at depth 0 it is gone before the first write, so the
-    whole document is still in stdout's buffer when the write fails.  Also
-    under ``PYTHONUNBUFFERED``, where a write cut short used to pass silently."""
-    argv = ["graph", "--realization", "monomial", "--depth", str(depth), "--force",
-            "--format", "json"]
+    left for exit's flush to report: the depth-14 ``graph`` is read once and
+    then closed (``| head -c 100``); every other run's reader is gone before
+    the first write, so the whole output is still in stdout's buffer when the
+    flush in ``main`` fails, for ``graph`` as for ``apply``, ``convert`` and
+    ``verify``.  Also under ``PYTHONUNBUFFERED``, where a write cut short used
+    to pass silently."""
+    argv, stdin = _LEAVING_READER_RUNS[run_name]
     read_end, write_end = os.pipe()
-    if not depth:
+    if run_name != "14":
         os.close(read_end)
-    with run_process(argv, stdout=write_end, env={"PYTHONUNBUFFERED": unbuffered}) as proc:
+    with run_process(argv, stdout=write_end, env={"PYTHONUNBUFFERED": unbuffered},
+                     stdin=subprocess.PIPE if stdin else subprocess.DEVNULL) as proc:
         os.close(write_end)
-        if depth:
+        if stdin:
+            proc.stdin.write(stdin)
+            proc.stdin.close()
+        if run_name == "14":
             assert os.read(read_end, 100)
             os.close(read_end)
         err = proc.stderr.read().decode()

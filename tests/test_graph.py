@@ -15,7 +15,8 @@ import g2crystal
 from g2crystal.cartan import INDEX_SET, POSITIVE_ROOTS
 from g2crystal.cliff import CliffElement
 from g2crystal.graph import (
-    _json_value,
+    _element_json,
+    _object_template,
     bfs,
     element_from_json,
     highest_element,
@@ -29,6 +30,7 @@ from g2crystal.isomorphisms import convert
 from g2crystal.minf import MinfElement, highest_minf
 from g2crystal.monomials import ExtMonomial, highest_monomial
 from g2crystal.tableaux import MLTableau, highest_tableau
+from g2crystal.verify import random_monomial
 
 from conftest import DEPTH2_COUNTS, DEPTH2_YFORMS
 
@@ -396,9 +398,16 @@ def _reference_payload(graph):
 
 
 @pytest.mark.parametrize("depth", [0, 1, 10])
-@pytest.mark.parametrize("realization", ["monomial", "minf", "tableaux", "cliff"])
-def test_json_export_is_the_stdlib_encoding(realization, depth):
-    graph = bfs(highest_element(realization), depth, realization)
+@pytest.mark.parametrize(
+    "realization, root",
+    [pytest.param(name, highest_element(name), id=name) for name in REALIZATIONS]
+    + [pytest.param("minf", highest_minf(2, 3, -2), id="minf-shifted"),
+       pytest.param("monomial", highest_monomial(2, 3, -2), id="monomial-shifted")],
+)
+def test_json_export_is_the_stdlib_encoding(realization, root, depth):
+    """Also from shifted roots, whose JSON holds negative ints, and at depth 10
+    multi-digit ones."""
+    graph = bfs(root, depth, realization)
     text = to_json(graph)
     assert text == json.dumps(_reference_payload(graph), indent=2) + "\n"
     if depth == 0:
@@ -407,21 +416,55 @@ def test_json_export_is_the_stdlib_encoding(realization, depth):
         assert text.isascii() and "u\\u221e \\u2297 b1(0)" in text
 
 
-@pytest.mark.parametrize(
-    "value",
-    [0, -7, 10**30, "", 'u\u221e "q" \\ \n', [], {}, [[], {}], [1, [2, 3]],
-     {"a": [1, {"b": []}], "\u2297": "c", "d": {}}],
-)
-def test_json_value_matches_stdlib_encoder(value):
-    assert _json_value(value, "") == json.dumps(value, indent=2)
+@pytest.mark.parametrize("realization", REALIZATIONS)
+def test_element_json_fields_are_ints(realization):
+    """The export's templates format each field with an unchecked ``%d``, so
+    every registry class's ``to_json()`` must hold ints only (no ``bool``):
+    checked on the depth-10 ball and, for monomials, on the bookkeeping
+    sampler's draws, which the renderer must also print as the stdlib does."""
+    graph = bfs(highest_element(realization), 10, realization)
+    elems = [elem for elem, _depth in graph.nodes.values()]
+    if realization == "monomial":
+        rng = random.Random(7)
+        elems += [random_monomial(rng) for _ in range(500)]
+    for elem in elems:
+        obj = elem.to_json()
+        records = obj if realization == "monomial" else [obj]
+        assert type(records) is list and all(
+            type(rec) is dict and all(type(v) is int for v in rec.values()) for rec in records
+        ), obj
+        assert _element_json(obj, "  ") == json.dumps(obj, indent=2).replace("\n", "\n  ")
 
 
 @pytest.mark.parametrize(
-    "value", [True, None, 1.5, (1, 2), [1, False], {"b2": True}, {"b2": None}, {1: 2}]
+    "obj",
+    [
+        pytest.param({}, id="empty-object"),
+        pytest.param([], id="empty-list"),
+        pytest.param({"b2": 0}, id="zero"),
+        pytest.param({"b2": 10**30, "r": 10**30 + 1}, id="huge"),
+        pytest.param({"m": -7, "r": -(10**30)}, id="negative"),
+        pytest.param({"": 3}, id="empty-key"),
+        pytest.param({'u "q" \\ \n %d': 1, "%": 2}, id="escaped-key"),
+        pytest.param({"\u221e \u2297": 1, "b2": 0}, id="non-ascii-key"),
+        pytest.param([{}], id="list-of-empty-object"),
+        pytest.param([{"i": 1, "m": -12, "u": 0, "v": 345}, {"i": 2, "m": 3, "u": -1, "v": 1}],
+                     id="list"),
+    ],
 )
-def test_json_value_rejects_what_it_would_have_to_guess(value):
+def test_object_template_is_the_stdlib_encoding(obj):
+    """Ints of any size and sign, keys that need escaping (``%`` too, as the
+    template's own escape), and empty objects and lists, nested or not."""
+    for pad in ("", "      "):
+        assert _element_json(obj, pad) == json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+    if type(obj) is dict:
+        assert _object_template(tuple(obj), "") % tuple(obj.values()) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("keys", [(1,), ("b2", None), (b"b2",)])
+def test_object_template_refuses_a_non_str_key(keys):
     with pytest.raises(TypeError):
-        _json_value(value, "")
+        _object_template(keys, "")
 
 
 def test_highest_element_rejects_unknown():
