@@ -37,7 +37,8 @@ The four registry classes (``isomorphisms.REALIZATIONS``) share this
 interface, their class checked at ``bfs``, ``convert`` and the maps:
 
 * ``f(i)`` / ``e(i)``: Kashiwara operators, returning a new element or
-  ``None`` for the crystal zero,
+  ``None`` for the crystal zero; a count element's rule only picks the two
+  counts that lose and gain a unit, and ``_apply`` alone builds the image,
 * ``wt()``: weight in Lambda-coordinates, ``eps(i)``/``phi(i)``: integers,
 * ``key()``: hashable, sortable canonical encoding,
 * ``text()``: canonical one-line rendering,
@@ -190,6 +191,17 @@ class CountElement:
 
     def key(self):
         return self.counts()
+
+    def _apply(self, lose, gain):
+        """The operator image: a unit off field ``lose``, onto ``gain`` (positions
+        in ``key()``, ``None`` for none), checked by the constructor; reading
+        ``vars`` instead would give every graph node a ``__dict__``."""
+        fields = list(self.key())
+        if lose is not None:
+            fields[lose] -= 1
+        if gain is not None:
+            fields[gain] += 1
+        return type(self)(*fields)
 
     def phi(self, i):
         return self.eps(i) + self.wt()[i - 1]  # eps has checked i

@@ -93,17 +93,13 @@ class CliffElement(CountElement):
         pos = self._select(i, lower=True)
         if pos <= 1:
             raise RuntimeError("the tensor rule never lowers the head factor on members")
-        ks = list(self.counts())
-        ks[pos - 2] += 1
-        return CliffElement(*ks)
+        return self._apply(None, pos - 2)
 
     def e(self, i):
         pos = self._select(i, lower=False)
         if pos == 1:
             return None
-        ks = list(self.counts())
-        ks[pos - 2] -= 1
-        return CliffElement(*ks)
+        return self._apply(pos - 2, None)
 
     # -- structure maps -------------------------------------------------------
 

@@ -30,10 +30,10 @@ word is held as at most seven runs of equal symbols, one per component and
 symbol, and the cancellation acts on runs, so the cost does not grow with
 the counts; ``signature(i)`` is the reduced word, as those runs, that the
 operators and ``eps_i`` read; only ``eps_i`` records it, for ``phi_i``,
-``f_i`` and ``e_i`` to reuse.  Each case moves one unit between two counts,
-a step of the fundamental chain 1 -1-> 2 -2-> 3 -1-> 0 -1-> 3b -2-> 2b -1->
-1b; ``f_i`` takes its step from one table and ``e_i`` from the inverted
-table, so ``e_i`` undoes ``f_i``.
+``f_i`` and ``e_i`` to reuse.  Each case names the two counts (``None``
+for the X_1 body) between which ``CountElement._apply`` moves one unit, a
+step of the chain 1 -1-> 2 -2-> 3 -1-> 0 -1-> 3b -2-> 2b -1-> 1b; ``f_i``
+takes its step from one table and ``e_i`` from the inverted one.
 Each step is multiplication by an explicit ``A_i(m)^{+-1}``, so the rule
 agrees with the generic monomial operators; the verification suites check
 that equivalence exhaustively.
@@ -151,24 +151,14 @@ class MinfElement(CountVector):
     def f(self, i):
         """Lowering operator; total on the family (never the crystal zero)."""
         source = next((tag for sym, tag, _n in self.signature(i) if sym == 0), None)
-        return self._move(source, _F_STEP[i][source])
+        return self._apply(_SLOT.get(source), _SLOT.get(_F_STEP[i][source]))
 
     def e(self, i):
         """Raising operator; ``None`` when no 1 survives in the signature."""
         ones = [tag for sym, tag, _n in self.signature(i) if sym == 1]
         if not ones:
             return None
-        return self._move(ones[-1], _E_STEP[i][ones[-1]])
-
-    def _move(self, source, target):
-        """Take one from ``source``'s count and add one to ``target``'s;
-        ``None`` is the X_1 body, which has no count."""
-        fields = list(vars(self).values())
-        if source is not None:
-            fields[_SLOT[source]] -= 1
-        if target is not None:
-            fields[_SLOT[target]] += 1
-        return MinfElement(*fields)
+        return self._apply(_SLOT.get(ones[-1]), _SLOT.get(_E_STEP[i][ones[-1]]))
 
     # -- serialization -----------------------------------------------------
 

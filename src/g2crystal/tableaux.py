@@ -138,7 +138,7 @@ class MLTableau(CountVector):
             raise RuntimeError("the lowering operator is total on marginally large tableaux")
         cells, _units, col = tag
         row, letter = cells[0]
-        return self._replace_box(row, col, letter, F_STEP[i][letter])
+        return self._apply(*self._replace_box(row, col, letter, F_STEP[i][letter]))
 
     def e(self, i):
         """Raise the box at the rightmost surviving 1, removing its column
@@ -149,12 +149,12 @@ class MLTableau(CountVector):
             return None
         cells, units, first = ones[-1]
         row, letter = cells[-1]
-        return self._replace_box(row, first - units + 1, letter, E_STEP[i][letter])
+        return self._apply(*self._replace_box(row, first - units + 1, letter, E_STEP[i][letter]))
 
     def _replace_box(self, row, col, letter, new):
-        """Write ``new`` into the box ``(row, col)`` holding ``letter``, then
-        insert or remove the column that restores marginal largeness, all on
-        the counts.  Three cases occur:
+        """Count positions ``(lose, gain)``, ``None`` for no count, of writing
+        ``new`` into the box ``(row, col)`` holding ``letter``, then inserting or
+        removing the column that restores marginal largeness.  Three cases occur:
 
         * a row-1 letter other than 1 moves one letter along, and the tableau
           stays marginally large;
@@ -163,20 +163,16 @@ class MLTableau(CountVector):
         * row 2's 2 becomes a 3, and a column 1 over 2 is inserted, or the 3
           in column 1 becomes a 2, and its column is removed: b3low +- 1.
         """
-        n = list(self.counts())
         if row == 0 and L1 not in (letter, new):
-            n[letter - 1] -= 1
-            n[new - 1] += 1
-        elif row == 0 and (letter, new, col) in ((L1, L2, self.b3low + 1), (L2, L1, self.b3low + 2)):
-            n[L2 - 1] += 1 if new == L2 else -1
-        elif row == 1 and (letter, new, col) in ((L2, L3, 0), (L3, L2, 1)):
-            n[6] += 1 if new == L3 else -1
-        else:
-            raise ValueError(
-                f"writing {LETTER_NAMES[new]} over {LETTER_NAMES[letter]} at box {(row, col)} "
-                f"leaves no marginally large tableau (counts {self.counts()})"
-            )
-        return MLTableau(*n)
+            return letter - 1, new - 1
+        if row == 0 and (letter, new, col) in ((L1, L2, self.b3low + 1), (L2, L1, self.b3low + 2)):
+            return (None, L2 - 1) if new == L2 else (L2 - 1, None)
+        if row == 1 and (letter, new, col) in ((L2, L3, 0), (L3, L2, 1)):
+            return (None, 6) if new == L3 else (6, None)
+        raise ValueError(
+            f"writing {LETTER_NAMES[new]} over {LETTER_NAMES[letter]} at box {(row, col)} "
+            f"leaves no marginally large tableau (counts {self.counts()})"
+        )
 
     # -- serialization -----------------------------------------------------------
 

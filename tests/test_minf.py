@@ -9,6 +9,7 @@ import pytest
 from g2crystal.cartan import INDEX_SET
 from g2crystal.graph import bfs
 from g2crystal.minf import (
+    _SLOT,
     _member_counts,
     MinfElement,
     highest_minf,
@@ -409,7 +410,7 @@ def test_step_table_matches_branch_reference(params):
 )
 def test_move_out_of_domain_rejected(elem, source, target):
     with pytest.raises(ValueError):
-        elem._move(source, target)
+        elem._apply(_SLOT[source], _SLOT[target])
 
 
 # The letter-level signature word the run-length word replaced, kept as the
@@ -446,18 +447,18 @@ def test_run_word_matches_letter_reference():
         assert len(elem.signature_word(1)) == 7 and len(elem.signature_word(2)) == 5
 
 
-# The ``dataclasses.replace`` bodies of ``_move`` and ``with_params`` that the
-# positional constructor calls replaced, kept as the reference.
-_REFERENCE_COUNT = {"2": "b2", "3": "b3", "0": "b0", "3b": "b3bar", "2b": "b2bar",
-                    "1b": "b1bar", "3low": "b3low"}
+# The ``dataclasses.replace`` bodies of the count move and ``with_params``
+# that the positional constructor calls replaced, kept as the reference; the
+# move takes the positions that ``_apply`` takes.
+_REFERENCE_COUNT = ("b2", "b3", "b0", "b3bar", "b2bar", "b1bar", "b3low")
 
 
-def _reference_move(self, source, target):
+def _reference_apply(self, lose, gain):
     change = {}
-    if source is not None:
-        change[_REFERENCE_COUNT[source]] = getattr(self, _REFERENCE_COUNT[source]) - 1
-    if target is not None:
-        change[_REFERENCE_COUNT[target]] = getattr(self, _REFERENCE_COUNT[target]) + 1
+    if lose is not None:
+        change[_REFERENCE_COUNT[lose]] = getattr(self, _REFERENCE_COUNT[lose]) - 1
+    if gain is not None:
+        change[_REFERENCE_COUNT[gain]] = getattr(self, _REFERENCE_COUNT[gain]) + 1
     return replace(self, **change)
 
 
@@ -482,7 +483,7 @@ def test_positional_construction_matches_replace_reference(monkeypatch):
                 for i in INDEX_SET]
 
     with monkeypatch.context() as patch:
-        patch.setattr(MinfElement, "_move", _reference_move)
+        patch.setattr(MinfElement, "_apply", _reference_apply)
         want = images()
     assert images() == want
     assert sum(img is None for img in want) > 0 and ValueError not in want

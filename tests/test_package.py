@@ -3,9 +3,10 @@ through one live ``signature`` method, no invariant rests on ``assert``,
 the realization names are registered in one table, one builder makes
 every monomial and sorts its key, only ``scan`` records a monomial scan and
 only ``eps`` a count signature, count elements write their JSON from their
-own fields, the methods shared by the count elements are written once, and
-so are the rule for which parameters name an M(infinity) family and the
-crystal laws the verification suites check."""
+own fields, the methods shared by the count elements are written once, one
+applier builds every count operator image, and so are the rule for which
+parameters name an M(infinity) family and the crystal laws the verification
+suites check."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from g2crystal.cliff import CliffElement
 from g2crystal.minf import MinfElement
 from g2crystal.tableaux import MLTableau
 
-from conftest import EXAMPLE_COUNTS
+from conftest import EXAMPLE_COUNTS, EXAMPLE_KS
 
 
 @pytest.mark.parametrize("i", INDEX_SET)
@@ -215,6 +216,49 @@ def test_shared_count_methods_are_defined_once():
     names = [func for _name, func in defs]
     assert [names.count(func) for func in ("phi", "to_json", "signature")] == [1, 1, 1]
     assert [name for name, func in defs if func == "wt"] == ["cartan.py", "cliff.py"]
+
+
+def _functions(name, files):
+    """``(file name, def)`` for every function called ``name`` in ``files``."""
+    return [(file, node) for file, node in _package_nodes()
+            if file in files and isinstance(node, ast.FunctionDef) and node.name == name]
+
+
+def test_one_count_applier_reads_no_instance_dict():
+    """``_apply`` has one ``def``, in ``cartan.py``, and names neither ``vars``
+    nor ``__dict__``: reading them gives every image a dict of its own, which
+    each graph node then keeps."""
+    found = _functions("_apply", ("cartan.py", "minf.py", "tableaux.py", "cliff.py"))
+    assert [file for file, _node in found] == ["cartan.py"]
+    names = {node.id for node in ast.walk(found[0][1]) if isinstance(node, ast.Name)}
+    attrs = {node.attr for node in ast.walk(found[0][1]) if isinstance(node, ast.Attribute)}
+    assert not {"vars", "__dict__"} & (names | attrs)
+
+
+def test_count_rules_build_no_image():
+    """No ``f``, ``e`` or ``_replace_box`` of a count realization calls its own
+    class or ``type(self)``: each rule only chooses a step for ``_apply``."""
+    owners = {"minf.py": "MinfElement", "tableaux.py": "MLTableau", "cliff.py": "CliffElement"}
+    found = []
+    for op in ("f", "e", "_replace_box"):
+        for file, func in _functions(op, owners):
+            found += [f"{file}:{node.lineno}" for node in ast.walk(func)
+                      if isinstance(node, ast.Call)
+                      and ast.unparse(node.func) in (owners[file], "type(self)")]
+    assert found == []
+
+
+@pytest.mark.parametrize("elem", [MinfElement(*EXAMPLE_COUNTS, 2, 3, -1), MLTableau(*EXAMPLE_COUNTS),
+                                  CliffElement(*EXAMPLE_KS)], ids=lambda elem: type(elem).__name__)
+def test_the_applier_reads_the_fields_in_order(elem):
+    """The method ``_apply`` reads its fields from returns them all, in order,
+    so the applier rebuilds every field it does not move."""
+    (_file, func), = _functions("_apply", ("cartan.py",))
+    read = {node.func.attr for node in ast.walk(func) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and ast.unparse(node.func.value) == "self"}
+    assert read and read <= {"key", "counts"}
+    for method in read:
+        assert getattr(elem, method)() == tuple(vars(elem).values()), method
 
 
 # Names each count class binds to its base's function for the span tracer.

@@ -398,8 +398,9 @@ def test_box_outside_the_three_cases_rejected():
         top._replace_box(0, 0, L1, L2)  # the 1 over row 2's 2 cannot become a 2
     with pytest.raises(ValueError):
         top._replace_box(1, 0, L2, L1)  # row 2's 2 cannot become a 1
-    with pytest.raises(ValueError):
-        MLTableau(b3=1, b0=1)._replace_box(0, 3, L3, L0)  # a second 0 box
+    tab = MLTableau(b3=1, b0=1)
+    with pytest.raises(ValueError):  # the box is one of the cases; the constructor refuses
+        tab._apply(*tab._replace_box(0, 3, L3, L0))  # a second 0 box
 
 
 def test_operator_cost_does_not_grow_with_the_counts():

@@ -97,6 +97,11 @@ def _scan_other_index(orig):
     return lambda self, i: orig(self, 3 - i)
 
 
+def _drop_lose(orig):
+    """An applier that adds the gained unit but never takes the lost one."""
+    return lambda self, lose, gain: orig(self, None, gain)
+
+
 def _drop_r(orig):
     """A shift that ignores the requested ``r`` and keeps the element's own."""
     return lambda self, p1, p2, r: orig(self, p1, p2, self.r)
@@ -123,6 +128,9 @@ FAULTS = {
     "bookkeeping-wrong-e": ("bookkeeping", 200, "monomial", "e", _self_where_defined),
     "bookkeeping-scan-swaps-index": ("bookkeeping", 200, "monomial", "scan", _scan_other_index),
     "involution-wrong-e": ("involution", 2, "tableaux", "e", _self_where_defined),
+    # the one applier of the count rules, planted through each class that inherits it
+    **{f"involution-{name}-apply-drops-lose": ("involution", 2, name, "_apply", _drop_lose)
+       for name in OUTSIDE},
 }
 
 
