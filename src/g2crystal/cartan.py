@@ -24,12 +24,12 @@ the seven counts ``(b2, b3, b0, b3bar, b2bar, b1bar, b3low)``: nonnegative
 integers with ``b0 <= 1``; the tensor products store six counts.
 :class:`CountElement`, the base of all three, validates ``counts()`` and
 writes ``key``, ``phi`` and the JSON (the fields, omitted ones taken from the
-highest element) once.  :class:`CountVector` adds the seven-count storage,
-the weight and the reduced signature with ``eps``; :func:`reduce_signature`
-is the (0,1) cancellation that every signature rule ends with.  It works on runs
-of equal symbols, so a signature rule costs the same at any count.  The
-rules that build the run-length signature words and act on them stay with
-each realization.
+highest element) once; every field is read through ``key()``.
+:class:`CountVector` adds the seven-count storage, the weight and the reduced
+signature with ``eps``; :func:`reduce_signature` is the (0,1) cancellation
+that every signature rule ends with.  It works on runs of equal symbols, so a
+signature rule costs the same at any count.  The rules that build the
+run-length signature words and act on them stay with each realization.
 
 Crystal element contract
 ------------------------
@@ -46,7 +46,7 @@ interface, their class checked at ``bfs``, ``convert`` and the maps:
 
 All of them are immutable values; everything here is a pure function.  A
 count element's one record, written only by ``eps``, is invisible to
-equality, hashing, ``key``, JSON, ``vars`` and pickling.
+equality, hashing, ``key``, JSON and pickling.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def weight_to_roots(w):
 
 def roots_to_weight(a, b):
     """Inverse of :func:`weight_to_roots`; ``a`` and ``b`` must be ``int``s."""
-    if not (type(a) is type(b) is int):  # one test: CliffElement.wt calls this on every weight
+    if not (type(a) is type(b) is int):
         raise ValueError(f"root coordinates must be ints, got {(a, b)!r}")
     return (2 * a - 3 * b, -a + 2 * b)
 
@@ -175,12 +175,13 @@ class CountElement:
     ``eps(i)``, and its fields are its JSON; ``phi`` reads the ``wt()`` of
     :class:`CountVector` or of the tensor products.  ``eps(i)`` alone records
     its reduced signature in the slot ``_signatures``, ``None`` before (a set
-    slot reads far faster); pickling and copying rebuild from the fields."""
+    slot reads far faster).  ``_apply``, the JSON, pickling and copying read the
+    fields through ``key()``: ``vars`` would give each element its own ``__dict__``."""
 
     __slots__ = ("_signatures",)
 
     def __reduce__(self):
-        return type(self), tuple(vars(self).values())
+        return type(self), self.key()
 
     def __post_init__(self):
         counts = self.counts()
@@ -194,8 +195,7 @@ class CountElement:
 
     def _apply(self, lose, gain):
         """The operator image: a unit off field ``lose``, onto ``gain`` (positions
-        in ``key()``, ``None`` for none), checked by the constructor; reading
-        ``vars`` instead would give every graph node a ``__dict__``."""
+        in ``key()``, ``None`` for none), checked by the constructor."""
         fields = list(self.key())
         if lose is not None:
             fields[lose] -= 1
@@ -207,11 +207,11 @@ class CountElement:
         return self.eps(i) + self.wt()[i - 1]  # eps has checked i
 
     def to_json(self):
-        return dict(vars(self))
+        return dict(zip(type(self).__match_args__, self.key()))
 
     @classmethod
     def from_json(cls, obj):
-        return cls(**read_json_ints(obj, vars(cls())))
+        return cls(**read_json_ints(obj, cls().to_json()))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import CARTAN, CountElement, check_index, roots_to_weight
+from .cartan import CARTAN, CountElement, check_index
 
 # Field name and factor index for each tensor slot, in tensor order.
 _SLOTS = (("k12bar", 1), ("k13bar", 2), ("k13", 1), ("k12", 2), ("k11", 1), ("k22", 2))
@@ -107,7 +107,7 @@ class CliffElement(CountElement):
         """``-n1*alpha_1 - n2*alpha_2``, ``n_j`` summing the factors ``b_j``."""
         n1 = self.k12bar + self.k13 + self.k11
         n2 = self.k13bar + self.k12 + self.k22
-        return roots_to_weight(-n1, -n2)
+        return (3 * n2 - 2 * n1, n1 - 2 * n2)
 
     def eps(self, i):
         seq = self.a_seq(i)

@@ -101,7 +101,7 @@ def check_closure(depth):
                     try:  # a wrong class or a non-member is refused with ValueError
                         img = move(i)
                         if img is not None:
-                            check_element(graph.realization, img).cls(**vars(img))
+                            check_element(graph.realization, img).cls(*img.key())
                         why = "is the zero" if img is None and op == "f" else ""
                     except ValueError as exc:
                         why = f"is refused: {exc}"

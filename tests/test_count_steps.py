@@ -5,7 +5,8 @@ Each rule names the two count positions that lose and gain a unit, and
 ``_apply`` returns the pair runs a rule on a stand-in made with
 ``object.__new__``, its counts ``Fraction``s, which is how a symbolic replay
 of the rules on other number types reaches the library's own code.  The rules
-must choose the same step on those counts as on ``int`` ones, so a
+must choose the same step on those counts as on ``int`` ones, and the
+structure maps ``wt``, ``eps`` and ``phi`` must give the same values, so a
 ``type(x) is int`` check belongs in the constructors, never in a rule.
 """
 
@@ -33,7 +34,7 @@ def _stepper(cls):
 def _stand_in(cls, elem, number):
     """An instance of ``cls`` with ``elem``'s fields, each count made a ``number``."""
     stand_in = object.__new__(cls)
-    for name, value in vars(elem).items():
+    for name, value in elem.to_json().items():
         object.__setattr__(stand_in, name, value if name in PARAMS else number(value))
     object.__setattr__(stand_in, "_signatures", None)
     return stand_in
@@ -57,3 +58,16 @@ def test_rules_choose_their_steps_on_any_counts(name):
                 assert step is None or elem._apply(*step) == image, (elem, op, i, step)
                 cases += 1
     assert cases == 1488  # 372 nodes, two operators, two indices
+
+
+@pytest.mark.parametrize("name", CLASSES)
+def test_structure_maps_read_any_counts(name):
+    """On the depth-10 ball, ``wt``, ``eps_i`` and ``phi_i`` of a stand-in with
+    ``Fraction`` counts equal those of the element itself."""
+    nodes = bfs(highest_element(name), 10, name).nodes.values()
+    for elem, _depth in nodes:
+        symbolic = _stand_in(CLASSES[name], elem, Fraction)
+        assert symbolic.wt() == elem.wt(), elem
+        for i in INDEX_SET:
+            assert (symbolic.eps(i), symbolic.phi(i)) == (elem.eps(i), elem.phi(i)), (elem, i)
+    assert len(nodes) == 372

@@ -15,6 +15,7 @@ import g2crystal
 from g2crystal.cartan import INDEX_SET, POSITIVE_ROOTS
 from g2crystal.cliff import CliffElement
 from g2crystal.graph import (
+    CrystalGraph,
     _element_json,
     _object_template,
     bfs,
@@ -333,6 +334,37 @@ def test_graph_functions_refuse_non_graphs(bad):
         with pytest.raises(ValueError) as exc:
             call()
         assert str(exc.value) == message
+
+
+def _hand_graph(realization, depth, nodes, edges):
+    """A ``CrystalGraph`` built from its parts, rooted at the first node."""
+    nodes = {elem.key(): (elem, at) for elem, at in nodes}
+    return CrystalGraph(realization, depth, next(iter(nodes)), nodes, list(edges))
+
+
+def test_iso_check_is_false_on_unequal_edge_counts():
+    top = highest_minf()
+    down = top.f(1)
+    edge = (top.key(), 1, down.key())
+    g = _hand_graph("minf", 1, [(top, 0), (down, 1)], [edge])
+    h = _hand_graph("minf", 1, [(top, 0), (down, 1)], [])
+    assert iso_check(g, h) is False
+    assert iso_check(h, g) is False
+
+
+def test_weight_census_refuses_a_positive_root_coordinate():
+    above = ExtMonomial({(1, 0): (0, 1)})  # weight Lambda_1 = 2 alpha_1 + alpha_2
+    graph = _hand_graph("monomial", 0, [(above, 0)], [])
+    with pytest.raises(RuntimeError) as exc:
+        weight_census(graph)
+    assert str(exc.value) == "positive root coordinate at Y_1(0)^(0,1)"
+
+
+def test_weight_census_refuses_a_depth_off_the_weight_height():
+    graph = _hand_graph("minf", 2, [(highest_minf(), 0), (highest_minf().f(1), 2)], [])
+    with pytest.raises(RuntimeError) as exc:
+        weight_census(graph)
+    assert str(exc.value) == "depth must equal the weight height"
 
 
 def test_exports_are_deterministic():

@@ -3,10 +3,10 @@ through one live ``signature`` method, no invariant rests on ``assert``,
 the realization names are registered in one table, one builder makes
 every monomial and sorts its key, only ``scan`` records a monomial scan and
 only ``eps`` a count signature, count elements write their JSON from their
-own fields, the methods shared by the count elements are written once, one
-applier builds every count operator image, and so are the rule for which
-parameters name an M(infinity) family and the crystal laws the verification
-suites check."""
+own fields, the methods shared by the count elements are written once, no
+package code reads an instance dict, one applier builds every count operator
+image, and so are the rule for which parameters name an M(infinity) family
+and the crystal laws the verification suites check."""
 
 from __future__ import annotations
 
@@ -225,14 +225,18 @@ def _functions(name, files):
 
 
 def test_one_count_applier_reads_no_instance_dict():
-    """``_apply`` has one ``def``, in ``cartan.py``, and names neither ``vars``
-    nor ``__dict__``: reading them gives every image a dict of its own, which
-    each graph node then keeps."""
+    """``_apply`` has one ``def``, in ``cartan.py``, and no package code names
+    ``vars`` or reads a ``__dict__``: the applier, the JSON, pickling, copying
+    and ``closure`` read a count element's fields through ``key()``, since
+    ``vars`` gives every element it reads a dict of its own, which each graph
+    node then keeps."""
     found = _functions("_apply", ("cartan.py", "minf.py", "tableaux.py", "cliff.py"))
     assert [file for file, _node in found] == ["cartan.py"]
-    names = {node.id for node in ast.walk(found[0][1]) if isinstance(node, ast.Name)}
-    attrs = {node.attr for node in ast.walk(found[0][1]) if isinstance(node, ast.Attribute)}
-    assert not {"vars", "__dict__"} & (names | attrs)
+    reads = [f"{file}:{node.lineno}" for file, node in _package_nodes()
+             if isinstance(node, ast.Name) and node.id == "vars"
+             or isinstance(node, ast.Attribute) and node.attr == "__dict__"
+             or isinstance(node, ast.Constant) and node.value == "__dict__"]
+    assert reads == []
 
 
 def test_count_rules_build_no_image():

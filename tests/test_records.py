@@ -7,10 +7,12 @@ that only ``eps`` makes one, and that the index is checked before it is read."""
 from __future__ import annotations
 
 import copy
+import gc
 import pickle
 import random
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -193,3 +195,31 @@ def test_threads_share_recording_elements_without_a_lock():
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
     assert all(_has_record(elem) for elem in elems)
+
+
+@pytest.mark.parametrize("name", COUNT_NAMES)
+def test_field_views_leave_no_memory_behind(name):
+    """``to_json``, pickling, copying and a ``from_json`` round trip read the
+    fields through ``key()``, so a graph node they touch holds nothing more
+    afterwards; reading ``vars`` would give each one its own ``__dict__`` on
+    CPython 3.11 (about 64 B a node)."""
+    nodes = [elem for elem, _depth in bfs(highest_element(name), 10, name).nodes.values()]
+    cls = type(nodes[0])
+
+    def views(elem):
+        pickle.dumps(elem)
+        copy.copy(elem)
+        return cls.from_json(elem.to_json()) == elem
+
+    views(cls(*nodes[0].key()))  # first-call caches, outside the ball
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        same = all(views(elem) for elem in nodes)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert same and len(nodes) == 372
+    assert held < 16 * len(nodes), held
