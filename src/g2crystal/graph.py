@@ -12,9 +12,10 @@ drops the weight by one simple root, hence a node's depth equals the height
 partition oracle exploit that.  Each export yields text chunks (header,
 nodes, edges) that the CLI writes as they come and ``to_dot``/``to_json``
 join; JSON fills fixed templates, byte-identical to the stdlib encoder at
-``indent=2``; an element's ``to_json()``, an object or a list of them, fills one
-template per object shape, a ``%d`` per field (the constructors refuse non-int
-fields).  Names are looked up in :data:`~g2crystal.isomorphisms.REALIZATIONS`.
+``indent=2``.  An element's ``to_json()`` is filled straight from ``key()``, a
+count element's fields or each monomial entry ``(i, m, u, v)``, one template per
+shape, a ``%d`` per field (the constructors refuse non-int fields): no dict is
+built per element.  Names are looked up in :data:`~g2crystal.isomorphisms.REALIZATIONS`.
 """
 
 from __future__ import annotations
@@ -48,25 +49,26 @@ def bfs(root, depth, realization):
     check_element(realization, root)
     root_key = root.key()
     graph = CrystalGraph(realization=realization, depth=depth, root=root_key)
-    graph.nodes[root_key] = (root, 0)
+    nodes, edges = graph.nodes, graph.edges
+    nodes[root_key] = (root, 0)
     frontier = [(root_key, root)]  # (key, element) in key order: each key is computed once
-    incoming = set()
+    targets = [(i, set()) for i in INDEX_SET]  # the keys each f_i has reached
     for level in range(1, depth + 1):
         new = {}
         for key, elem in frontier:
-            for i in INDEX_SET:
+            for i, reached in targets:
                 child = elem.f(i)
                 if child is None:
                     continue
                 ck = child.key()
-                graph.edges.append((key, i, ck))
-                if (i, ck) in incoming:
+                edges.append((key, i, ck))
+                if ck in reached:
                     raise RuntimeError("lowering operators must be injective")
-                incoming.add((i, ck))
-                if ck not in graph.nodes:
+                reached.add(ck)
+                if ck not in nodes:
                     new.setdefault(ck, child)
-        frontier = sorted(new.items(), key=lambda pair: pair[0])
-        graph.nodes.update((ck, (child, level)) for ck, child in frontier)
+        frontier = [(ck, new[ck]) for ck in sorted(new)]
+        nodes.update((ck, (child, level)) for ck, child in frontier)
     return graph
 
 
@@ -131,7 +133,7 @@ def kostant_partitions(a, b):
 def _numbered(graph):
     """Node ids in ``graph.nodes`` order, and edges as ``(src id, color, dst id)`` sorted
     by source id *string* (``"n10"`` before ``"n2"``), then color: the export digests need it."""
-    ids = {key: f"n{pos}" for pos, key in enumerate(graph.nodes)}
+    ids = dict(zip(graph.nodes, map("n%d".__mod__, range(len(graph.nodes)))))
     return ids, sorted([(ids[src], i, ids[dst]) for src, i, dst in graph.edges])
 
 
@@ -159,13 +161,14 @@ def _object_template(keys, pad):
     return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
 
 
-def _element_json(obj, pad):
-    """An element's ``to_json()`` as the stdlib encoder prints it at ``indent=2``, at ``pad``."""
-    if type(obj) is dict:
-        return _object_template(tuple(obj), pad) % tuple(obj.values())
-    inner = pad + "  "
-    items = [_object_template(tuple(rec), inner) % tuple(rec.values()) for rec in obj]
-    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]" if items else "[]"
+def _element_json(elem, pad):
+    """An element's ``to_json()`` as the stdlib encoder prints it at ``indent=2``, at ``pad``,
+    filled from ``key()``: a count element's fields, or a monomial's ``(i, m, u, v)`` entries."""
+    if (fields := getattr(type(elem), "__match_args__", None)) is not None:  # a count element
+        return _object_template(fields, pad) % elem.key()
+    inner, key = pad + "  ", elem.key()
+    items = map(_object_template(("i", "m", "u", "v"), inner).__mod__, key)
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]" if key else "[]"
 
 
 def _json_chunks(graph):
@@ -180,7 +183,7 @@ def _json_chunks(graph):
             f'    {{\n      "id": "{ids[key]}",\n      "depth": {depth},\n'
             f'      "weight": [\n        {w1},\n        {w2}\n      ],\n'
             f'      "label": {_quote(elem.text())},\n'
-            f'      "element": {_element_json(elem.to_json(), "      ")}\n    }}'
+            f'      "element": {_element_json(elem, "      ")}\n    }}'
         )
     yield '\n  ],\n  "edges": ['
     for pos, (src, i, dst) in enumerate(edges):

@@ -163,11 +163,16 @@ class MinfElement(CountVector):
     # -- serialization -----------------------------------------------------
 
     def text(self):
-        parts = [
-            f"X_{letter}({m})^({u},{v})"
-            for letter, m, u, v in self.x_factors()
-            if (u, v) != (0, 0)
-        ]
+        """The factors of :meth:`x_factors` but the ``(0, 0)`` ones, read off the counts: X_1 and
+        X_2(r-2) never vanish (``p1 + p2 >= 2``, ``p2 >= 1``), the others print when nonzero."""
+        m, body = self.r - 1, (self.b2, self.b3, self.b0, self.b3bar, self.b2bar, self.b1bar)
+        parts = [f"X_1({m})^({self.p1 + self.p2},{-sum(body)})"]
+        for letter, n in zip(("2", "3", "0", "3b", "2b", "1b"), body):
+            if n:
+                parts.append(f"X_{letter}({m})^(0,{n})")
+        parts.append(f"X_2({m - 1})^({self.p2},{-self.b3low})")
+        if self.b3low:
+            parts.append(f"X_3({m - 1})^(0,{self.b3low})")
         return " ".join(parts)
 
 

@@ -179,7 +179,7 @@ class ExtMonomial:
     # -- serialization ---------------------------------------------------
 
     def text(self):
-        return " ".join(f"Y_{i}({m})^({u},{v})" for i, m, u, v in self._key) or "1"
+        return " ".join(map("Y_%d(%d)^(%d,%d)".__mod__, self._key)) or "1"
 
     def to_json(self):
         return [{"i": i, "m": m, "u": u, "v": v} for i, m, u, v in self._key]

@@ -177,10 +177,10 @@ class MLTableau(CountVector):
     # -- serialization -----------------------------------------------------------
 
     def text(self):
-        row1, row2 = self.rows()
-        return " ".join(LETTER_NAMES[x] for x in row1) + " / " + " ".join(
-            LETTER_NAMES[x] for x in row2
-        )
+        """The letter names of ``rows()``, row 1, ``/``, row 2, each repeated by its count."""
+        return ("1 " * (self.b3low + 2) + "2 " * self.b2 + "3 " * self.b3 + "0 " * self.b0
+                + "3b " * self.b3bar + "2b " * self.b2bar + "1b " * self.b1bar
+                + "/ 2" + " 3" * self.b3low)
 
 
 def highest_tableau():

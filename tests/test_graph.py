@@ -30,10 +30,10 @@ from g2crystal.graph import (
 from g2crystal.isomorphisms import convert
 from g2crystal.minf import MinfElement, highest_minf
 from g2crystal.monomials import ExtMonomial, highest_monomial
-from g2crystal.tableaux import MLTableau, highest_tableau
+from g2crystal.tableaux import LETTER_NAMES, MLTableau, highest_tableau
 from g2crystal.verify import random_monomial
 
-from conftest import DEPTH2_COUNTS, DEPTH2_YFORMS
+from conftest import DEPTH2_COUNTS, DEPTH2_YFORMS, EXAMPLE_COUNTS
 
 GOLDEN = Path(__file__).parent / "golden"
 REALIZATIONS = ("monomial", "minf", "tableaux", "cliff")
@@ -450,22 +450,23 @@ def test_json_export_is_the_stdlib_encoding(realization, root, depth):
 
 @pytest.mark.parametrize("realization", REALIZATIONS)
 def test_element_json_fields_are_ints(realization):
-    """The export's templates format each field with an unchecked ``%d``, so
-    every registry class's ``to_json()`` must hold ints only (no ``bool``):
-    checked on the depth-10 ball and, for monomials, on the bookkeeping
-    sampler's draws, which the renderer must also print as the stdlib does."""
+    """The export fills its element templates from ``key()`` with an unchecked
+    ``%d``, so every field must be an int (no ``bool``), and the result must be
+    the stdlib encoding of ``to_json()`` at the export's pad: on the depth-10
+    ball and, for monomials, on the empty monomial (``[]``) and the bookkeeping
+    sampler's draws."""
     graph = bfs(highest_element(realization), 10, realization)
     elems = [elem for elem, _depth in graph.nodes.values()]
     if realization == "monomial":
         rng = random.Random(7)
-        elems += [random_monomial(rng) for _ in range(500)]
+        elems += [ExtMonomial()] + [random_monomial(rng) for _ in range(500)]
+    pad = "      "  # a node's element, as ``_json_chunks`` nests it
     for elem in elems:
-        obj = elem.to_json()
-        records = obj if realization == "monomial" else [obj]
-        assert type(records) is list and all(
-            type(rec) is dict and all(type(v) is int for v in rec.values()) for rec in records
-        ), obj
-        assert _element_json(obj, "  ") == json.dumps(obj, indent=2).replace("\n", "\n  ")
+        key = elem.key()
+        fields = [v for entry in key for v in entry] if realization == "monomial" else key
+        assert all(type(value) is int for value in fields), elem
+        expected = json.dumps(elem.to_json(), indent=2).replace("\n", "\n" + pad)
+        assert _element_json(elem, pad) == expected
 
 
 @pytest.mark.parametrize(
@@ -486,11 +487,58 @@ def test_element_json_fields_are_ints(realization):
 )
 def test_object_template_is_the_stdlib_encoding(obj):
     """Ints of any size and sign, keys that need escaping (``%`` too, as the
-    template's own escape), and empty objects and lists, nested or not."""
+    template's own escape), and empty objects, each object alone or in a list;
+    a list that is a monomial's JSON, empty or not, is its ``_element_json``."""
+    records = obj if type(obj) is list else [obj]
     for pad in ("", "      "):
-        assert _element_json(obj, pad) == json.dumps(obj, indent=2).replace("\n", "\n" + pad)
-    if type(obj) is dict:
-        assert _object_template(tuple(obj), "") % tuple(obj.values()) == json.dumps(obj, indent=2)
+        for rec in records:
+            expected = json.dumps(rec, indent=2).replace("\n", "\n" + pad)
+            assert _object_template(tuple(rec), pad) % tuple(rec.values()) == expected
+        if type(obj) is list and all(list(rec) == ["i", "m", "u", "v"] for rec in obj):
+            expected = json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+            assert _element_json(ExtMonomial.from_json(obj), pad) == expected
+
+
+def _reference_minf_text(elem):
+    return " ".join(f"X_{letter}({m})^({u},{v})" for letter, m, u, v in elem.x_factors()
+                    if (u, v) != (0, 0))
+
+
+def _reference_tableau_text(tab):
+    row1, row2 = tab.rows()
+    return " ".join(LETTER_NAMES[x] for x in row1) + " / " + " ".join(
+        LETTER_NAMES[x] for x in row2)
+
+
+def _reference_monomial_text(mono):
+    return " ".join(f"Y_{i}({m})^({u},{v})" for i, m, u, v in mono.key()) or "1"
+
+
+BIG = 10**12
+BIG_MINF = MinfElement(BIG, BIG, 1, BIG, BIG, BIG, BIG, BIG, BIG, -BIG)
+LABEL_CASES = {
+    "minf": (_reference_minf_text, [
+        highest_minf(2, 3, -2), BIG_MINF, MinfElement(0, BIG, 0, 0, BIG, 0, 0, 1, 1, BIG)]),
+    "tableaux": (_reference_tableau_text, [
+        MLTableau(*EXAMPLE_COUNTS), MLTableau(10**3, 10**3, 1, 10**3, 10**3, 10**3, 10**3)]),
+    "monomial": (_reference_monomial_text, [
+        highest_monomial(2, 3, -2), ExtMonomial(), BIG_MINF.to_monomial(),
+        ExtMonomial({(1, -BIG): (BIG, -BIG), (2, BIG): (0, BIG)})]),
+}
+
+
+@pytest.mark.parametrize("realization", LABEL_CASES)
+def test_labels_are_the_reference_renderings(realization):
+    """``text()`` formats straight from the counts or entries; the bodies it
+    replaced (the ``x_factors()`` join, the ``rows()`` join and one f-string
+    per entry) are the references, on the depth-10 ball, a shifted root, the
+    empty monomial and counts whose labels grow with them."""
+    reference, extra = LABEL_CASES[realization]
+    graph = bfs(highest_element(realization), 10, realization)
+    for elem in [elem for elem, _depth in graph.nodes.values()] + extra:
+        assert elem.text() == reference(elem)
+    if realization == "monomial":
+        assert ExtMonomial().text() == "1"
 
 
 @pytest.mark.parametrize("keys", [(1,), ("b2", None), (b"b2",)])
@@ -517,6 +565,31 @@ def test_an_unhashable_realization_name_is_unknown():
                  lambda: convert(highest_minf(), "minf", ["x"])):
         with pytest.raises(ValueError, match=r"^unknown realization \['x'\]$"):
             call()
+
+
+def _plant(monkeypatch, i, source, image):
+    """Make ``f_i`` send ``source`` to ``image`` on M(infinity), elsewhere as before."""
+    lowered = MinfElement.f
+    monkeypatch.setattr(MinfElement, "f", lambda self, j: image if (j, self) == (i, source)
+                        else lowered(self, j))
+
+
+def test_bfs_refuses_one_colour_into_one_node_twice(monkeypatch):
+    """f_2 sends both the root and f_1(root) to f_2(root)."""
+    top = highest_minf()
+    _plant(monkeypatch, 2, top.f(1), top.f(2))
+    with pytest.raises(RuntimeError, match="^lowering operators must be injective$"):
+        bfs(top, 2, "minf")
+
+
+def test_bfs_accepts_two_colours_into_one_node(monkeypatch):
+    """Injectivity is per colour: f_1 and f_2 may both send the root to f_1(root)."""
+    top = highest_minf()
+    down, aside = top.f(1), top.f(2)
+    _plant(monkeypatch, 2, top, down)
+    graph = bfs(top, 2, "minf")
+    assert graph.edges[:2] == [(top.key(), 1, down.key()), (top.key(), 2, down.key())]
+    assert aside.key() not in graph.nodes
 
 
 def test_bfs_rejects_non_injective_lowering_under_optimize():

@@ -6,7 +6,8 @@ only ``eps`` a count signature, count elements write their JSON from their
 own fields, the methods shared by the count elements are written once, no
 package code reads an instance dict, one applier builds every count operator
 image, and so are the rule for which parameters name an M(infinity) family
-and the crystal laws the verification suites check."""
+and the crystal laws the verification suites check; the graph export reads
+each element through ``key()`` and ``text()``, never ``to_json``."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import g2crystal
-from g2crystal import verify
+from g2crystal import graph, verify
 from g2crystal.cartan import INDEX_SET, CountElement, CountVector
 from g2crystal.cliff import CliffElement
 from g2crystal.minf import MinfElement
@@ -250,6 +251,24 @@ def test_count_rules_build_no_image():
                       if isinstance(node, ast.Call)
                       and ast.unparse(node.func) in (owners[file], "type(self)")]
     assert found == []
+
+
+def test_graph_export_builds_no_dict_per_element():
+    """``graph.py`` calls no ``to_json``, and its three renderers make no dict
+    (no display, comprehension or ``dict``/``vars`` call): element JSON is
+    filled from ``key()``, so the export builds nothing per element that it
+    takes apart again."""
+    tree = ast.parse(Path(graph.__file__).read_text(encoding="utf-8"))
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "to_json"]
+    assert calls == []
+    renderers = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                 and node.name in ("_element_json", "_dot_chunks", "_json_chunks")]
+    assert len(renderers) == 3
+    dicts = [f"{func.name}:{node.lineno}" for func in renderers for node in ast.walk(func)
+             if isinstance(node, (ast.Dict, ast.DictComp))
+             or isinstance(node, ast.Call) and ast.unparse(node.func) in ("dict", "vars")]
+    assert dicts == []
 
 
 @pytest.mark.parametrize("elem", [MinfElement(*EXAMPLE_COUNTS, 2, 3, -1), MLTableau(*EXAMPLE_COUNTS),
