@@ -83,9 +83,10 @@ def weight_sub(w, x):
 
 
 def check_index(i):
-    """Raise :class:`ValueError` unless ``i`` is the ``int`` 1 or 2."""
+    """Return ``i`` if it is the ``int`` 1 or 2, else raise :class:`ValueError`."""
     if type(i) is not int or i not in INDEX_SET:
         raise ValueError(f"index must be 1 or 2, got {i!r}")
+    return i
 
 
 def simple_root(i):

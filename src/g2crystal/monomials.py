@@ -18,17 +18,21 @@ holds at ``min support - 1`` and the total at ``max support + 1``.
 
 One builder, ``_build``, makes every monomial: the constructor, products,
 inverses, the operators (which add the three factors of ``A_i(m)^{+-1}``
-directly), JSON and the M(infinity) expansion.  Every exponent lives in one
-tuple shape, the entry ``(i, m, u, v)``: the builder takes entries as its
-factors, stores them as the values of the position map and sorts those same
-objects into the key, the one view that text, JSON and membership read.  An
-operator or product therefore makes new entries only at the positions it
-changes; every other entry is shared with the monomial it started from.
+directly, made by one call from the ``(i, sign)`` table ``a_monomial`` reads),
+JSON, copies (``__reduce__`` rebuilds from the key, with no scans) and the
+M(infinity) expansion.  Every exponent lives in one tuple shape, the entry
+``(i, m, u, v)``: the builder takes entries as its factors, stores them as the
+values of the position map and sorts those same objects into the key, the one
+view that text, JSON and membership read.  An operator or product therefore
+makes new entries only at the positions it changes; every other entry is
+shared with the monomial it started from.
 
 One scan for index ``i`` serves phi~_i, eps~_i, ``f_i`` and ``e_i``.  Only
 ``scan`` records it on the instance, once per index; ``f`` and ``e`` read a
 recorded scan but never record one, computing it unrecorded when it is
-missing.  So a graph made by ``bfs``, which only lowers, carries no scans.
+missing.  So a graph made by ``bfs``, which only lowers, carries no scans.  A
+recorded scan is read for an ``int`` index only, since ``True`` and ``1.0``
+hash like ``1``; every other call checks the index before it scans.
 
 The crystal zero is represented by ``None``; it marks the absence of an
 edge, never an error.
@@ -37,6 +41,8 @@ edge, never an error.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cache
+from itertools import chain
 
 from .cartan import (
     C_SHIFT,
@@ -48,6 +54,7 @@ from .cartan import (
 )
 
 ScanResult = namedtuple("ScanResult", "phi_pair eps_pair m_f m_e")
+_NO_SCAN = ScanResult(PAIR_ZERO, PAIR_ZERO, None, None)  # no index-i entry
 
 # Every key of a factor record is required.
 _FACTOR_KEYS = dict.fromkeys(("i", "m", "u", "v"))
@@ -97,6 +104,9 @@ class ExtMonomial:
     def __hash__(self):
         return hash(self._key)
 
+    def __reduce__(self):
+        return _build, ({}, self._key)
+
     def __repr__(self):
         return f"ExtMonomial({self.text()!r})"
 
@@ -140,16 +150,16 @@ class ExtMonomial:
 
         The only method that records a scan: the first call for ``i`` stores
         its result on the instance, and later calls, the structure maps and
-        ``f``/``e`` read it from there.  The index is checked before any
-        lookup, since ``True`` and ``1.0`` hash like ``1``.
+        ``f``/``e`` read it from there.  Only an ``int`` is looked up, since
+        ``True`` and ``1.0`` hash like ``1``; a miss checks the index.
         """
-        check_index(i)
         scans = self._scans
+        if scans and type(i) is int and i in scans:
+            return scans[i]
+        res = _scan(self._key, check_index(i))
         if scans is None:
             scans = self._scans = {}
-        elif i in scans:
-            return scans[i]
-        res = scans[i] = _scan(self._key, i)
+        scans[i] = res
         return res
 
     def phi_pair(self, i):
@@ -165,21 +175,19 @@ class ExtMonomial:
         return self.scan(i).eps_pair[1]
 
     def f(self, i):
-        check_index(i)
-        pos = (self._scans and self._scans.get(i) or _scan(self._key, i)).m_f
-        return None if pos is None else _build(
-            self._exp, [(j, pos + offset, 0, power) for j, offset, power in _A_ROWS[i, -1]])
+        scans = self._scans  # True and 1.0 hash like 1, so only an int is looked up
+        res = scans[i] if scans and type(i) is int and i in scans else _scan(self._key, check_index(i))
+        return None if (pos := res.m_f) is None else _build(self._exp, _A_FACTORS[i, -1](pos))
 
     def e(self, i):
-        check_index(i)
-        pos = (self._scans and self._scans.get(i) or _scan(self._key, i)).m_e
-        return None if pos is None else _build(
-            self._exp, [(j, pos + offset, 0, power) for j, offset, power in _A_ROWS[i, 1]])
+        scans = self._scans
+        res = scans[i] if scans and type(i) is int and i in scans else _scan(self._key, check_index(i))
+        return None if (pos := res.m_e) is None else _build(self._exp, _A_FACTORS[i, 1](pos))
 
     # -- serialization ---------------------------------------------------
 
     def text(self):
-        return " ".join(map("Y_%d(%d)^(%d,%d)".__mod__, self._key)) or "1"
+        return _text_template(len(self._key)) % tuple(chain.from_iterable(self._key)) or "1"
 
     def to_json(self):
         return [{"i": i, "m": m, "u": u, "v": v} for i, m, u, v in self._key]
@@ -198,6 +206,11 @@ def check_monomial(obj):
     """Raise :class:`ValueError` unless ``obj`` is an :class:`ExtMonomial`."""
     if not isinstance(obj, ExtMonomial):
         raise ValueError(f"expected an ExtMonomial, got {type(obj).__name__}")
+
+
+@cache
+def _text_template(n):  # ExtMonomial.text for n entries, one %d per entry field
+    return " ".join(["Y_%d(%d)^(%d,%d)"] * n)
 
 
 def _scan(key, i):
@@ -224,11 +237,11 @@ def _scan(key, i):
         else:
             held = tu == pu and tv == pv
     if first is None:
-        return ScanResult(PAIR_ZERO, PAIR_ZERO, None, None)
+        return _NO_SCAN
     phi_pair, eps_pair = (pu, pv), (pu - tu, pv - tv)
     m_f = first if phi_pair > PAIR_ZERO else None
     m_e = last if eps_pair > PAIR_ZERO else None
-    return ScanResult(phi_pair, eps_pair, m_f, m_e)
+    return tuple.__new__(ScanResult, (phi_pair, eps_pair, m_f, m_e))
 
 
 def _build(base, factors):
@@ -257,13 +270,14 @@ def _build(base, factors):
     return mono
 
 
-# A_i(m)^sign is the product of Y_j(m + offset)^(0, power) over the rows
-# (j, offset, power) of ``_A_ROWS[i, sign]``; each power carries the sign.
-_A_ROWS = {
-    (i, sign): ((i, 0, sign), (i, 1, sign),
-                *((j, C_SHIFT[(j, i)], sign * CARTAN[(j, i)]) for j in INDEX_SET if j != i))
-    for i in INDEX_SET for sign in (1, -1)
-}
+def _a_factors(i, sign):
+    """``m ->`` the three entries of ``A_i(m)^sign``, as :func:`a_monomial` spells them out."""
+    (j,) = (j for j in INDEX_SET if j != i)
+    shift, power = C_SHIFT[(j, i)], sign * CARTAN[(j, i)]
+    return lambda m: ((i, m, 0, sign), (i, m + 1, 0, sign), (j, m + shift, 0, power))
+
+
+_A_FACTORS = {(i, sign): _a_factors(i, sign) for i in INDEX_SET for sign in (1, -1)}
 
 
 def a_monomial(i, m, sign=1):
@@ -275,7 +289,7 @@ def a_monomial(i, m, sign=1):
     check_index(i)
     if type(m) is not int or type(sign) is not int or sign not in (1, -1):
         raise ValueError(f"A_i(m)^sign needs an int m and sign 1 or -1, got m={m!r}, sign={sign!r}")
-    return _build({}, [(j, m + offset, 0, power) for j, offset, power in _A_ROWS[i, sign]])
+    return _build({}, _A_FACTORS[i, sign](m))
 
 
 def highest_monomial(p1=1, p2=1, r=0):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import pickle
 import random
 
@@ -509,15 +510,61 @@ def test_recorded_scans_leave_identity_and_output_alone():
         assert copied.key() == fresh.key()
 
 
-@pytest.mark.parametrize("bad", [True, 1.0, 3, None], ids=repr)
+@pytest.mark.parametrize("bad", [True, 1.0, 3, None, 2.0, False, 0, "1"], ids=repr)
 @pytest.mark.parametrize("method", ["scan", "eps", "phi", "eps_pair", "phi_pair", "f", "e"])
 def test_index_is_checked_before_a_recorded_scan_is_read(method, bad):
-    """``True`` and ``1.0`` hash like ``1``, so a lookup before the index
-    check would hand them the recorded scan of index 1."""
+    """``True`` and ``1.0`` hash like ``1`` (``2.0`` like ``2``), so a lookup
+    before the index check would hand them a recorded scan; a refused index
+    records nothing."""
     mono = highest_monomial().f(1)
-    mono.scan(1)
+    mono.scan(1), mono.scan(2)
     with pytest.raises(ValueError, match="index must be 1 or 2"):
         getattr(mono, method)(bad)
+    assert mono._scans.keys() == {1, 2}
+
+
+def test_scan_results_are_scan_results():
+    """``_scan`` builds its result without the namedtuple constructor, and
+    shares one empty scan; both are :class:`ScanResult` instances."""
+    for mono in (ExtMonomial(), highest_monomial(), highest_monomial().f(2).f(1)):
+        for i in INDEX_SET:
+            res = monomials._scan(mono.key(), i)
+            assert type(res) is ScanResult and res == _reference_scan(mono, i)
+            assert res._asdict()["m_f"] == res.m_f
+
+
+def _assert_operators_read_scans_alike(mono):
+    """``f``/``e`` give one result from a fresh scan and a recorded one: the
+    product with ``A_i(m)^-+1`` at the scan's arg-max position."""
+    for i in INDEX_SET:
+        fresh = (mono.f(i), mono.e(i))
+        res = mono.scan(i)
+        want = tuple(None if m is None else mono * a_monomial(i, m, sign)
+                     for m, sign in ((res.m_f, -1), (res.m_e, 1)))
+        assert (mono.f(i), mono.e(i)) == fresh == want, (mono.text(), i)
+
+
+def test_operators_read_a_recorded_scan_as_a_fresh_one():
+    for mono, _depth in bfs(highest_monomial(), 10, "monomial").nodes.values():
+        _assert_operators_read_scans_alike(mono)
+    rng = random.Random(39)
+    for _ in range(2000):
+        _assert_operators_read_scans_alike(random_monomial(rng))
+
+
+def test_copies_start_without_scans():
+    """``__reduce__`` rebuilds from the key: every pickle protocol and both
+    copies give an equal monomial that shares and carries no recorded scan."""
+    mono = ExtMonomial(EXAMPLE_EXPONENTS)
+    for i in INDEX_SET:
+        mono.scan(i)
+    copies = [pickle.loads(pickle.dumps(mono, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for copied in (*copies, copy.copy(mono), copy.deepcopy(mono)):
+        assert copied == mono and hash(copied) == hash(mono)
+        assert copied.key() == mono.key() and copied._scans is None
+        copied.scan(2)
+    assert mono._scans.keys() == {1, 2}
 
 
 def test_operators_record_no_scan():

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from g2crystal import cartan, monomials
 from g2crystal.cartan import INDEX_SET, weight_to_roots
 from g2crystal.cliff import CliffElement
 from g2crystal.minf import MinfElement
@@ -305,6 +306,22 @@ def test_benchmark_expects_the_pinned_check_counts():
 def test_bookkeeping_count_must_be_a_nonnegative_int(count):
     with pytest.raises(ValueError, match="must be nonnegative"):
         check_bookkeeping(count=count)
+
+
+def test_bookkeeping_checks_each_index_about_five_times(monkeypatch):
+    """A recorded scan is read without ``check_index``: 2,000 samples make
+    21,549 checks (5.39 per sample and index), where each structure map and
+    operator checking its index again made 41,549."""
+    calls, check = [], cartan.check_index
+
+    def counted(i):
+        calls.append(i)
+        return check(i)
+
+    for module in (cartan, monomials):
+        monkeypatch.setattr(module, "check_index", counted)
+    assert check_bookkeeping(count=2000).ok
+    assert len(calls) / (2 * 2000) < 5.5
 
 
 def test_bookkeeping_accepts_zero_samples():
